@@ -34,8 +34,6 @@ from .hc import (
     admissibility_report,
     check_hc1,
     check_hc2,
-    check_hc3,
-    check_hc4,
     check_hc7,
     check_hc8,
     is_admissible,
@@ -79,8 +77,6 @@ __all__ = [
     "check_complete",
     "check_hc1",
     "check_hc2",
-    "check_hc3",
-    "check_hc4",
     "check_hc7",
     "check_hc8",
     "divisor_lattice",

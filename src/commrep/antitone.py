@@ -46,7 +46,36 @@ __all__ = [
 ]
 
 
-class Rep:
+class _PointSet:
+    """What :class:`Rep` and :class:`ExtRep` share: sorted (vector, element)
+    points over a lattice and a dimension.  Equality requires the same
+    class, so a representation never equals an extended point set."""
+
+    def _compatible(self, other) -> None:
+        if self.lattice != other.lattice:
+            raise ValueError("representations use different lattices")
+        if self.dim != other.dim:
+            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and self.lattice == other.lattice
+            and self.dim == other.dim
+            and self.points == other.points
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.lattice, self.dim, self.points))
+
+    def __repr__(self) -> str:
+        pts = ", ".join(
+            f"({list(v)}, {self.lattice.name(e)})" for v, e in self.points
+        )
+        return f"{type(self).__name__}(dim={self.dim}, points=[{pts}])"
+
+
+class Rep(_PointSet):
     """A finite representation of an antitone map from N^dim into a lattice.
 
     Points may be passed in any order; duplicate vectors are merged by
@@ -200,31 +229,8 @@ class Rep:
             [(residual(vec, a), val) for vec, val in self.points],
         )
 
-    def _compatible(self, other) -> None:
-        if self.lattice != other.lattice:
-            raise ValueError("representations use different lattices")
-        if self.dim != other.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Rep)
-            and self.lattice == other.lattice
-            and self.dim == other.dim
-            and self.points == other.points
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.lattice, self.dim, self.points))
-
-    def __repr__(self) -> str:
-        pts = ", ".join(
-            f"({list(v)}, {self.lattice.name(e)})" for v, e in self.points
-        )
-        return f"Rep(dim={self.dim}, points=[{pts}])"
-
-
-class ExtRep:
+class ExtRep(_PointSet):
     """A finite set of (extended vector, element) points.
 
     Intended as a subset of the extended graph of some antitone function;
@@ -246,23 +252,6 @@ class ExtRep:
         self.dim = dim
         self.points: tuple[tuple[Vec, int], ...] = tuple(sorted(seen.items()))
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ExtRep)
-            and self.lattice == other.lattice
-            and self.dim == other.dim
-            and self.points == other.points
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.lattice, self.dim, self.points))
-
-    def __repr__(self) -> str:
-        pts = ", ".join(
-            f"({list(v)}, {self.lattice.name(e)})" for v, e in self.points
-        )
-        return f"ExtRep(dim={self.dim}, points=[{pts}])"
-
 
 def check_complete(rep: Rep, ext: ExtRep) -> bool:
     """Decide whether ``ext`` pins down the function of ``rep`` uniquely.
@@ -273,10 +262,7 @@ def check_complete(rep: Rep, ext: ExtRep) -> bool:
     join of ``ext`` values at points above each maximal complement vector
     does not drop below alpha.
     """
-    if rep.lattice != ext.lattice:
-        raise ValueError("representation and point set use different lattices")
-    if rep.dim != ext.dim:
-        raise ValueError(f"dimension mismatch: {rep.dim} vs {ext.dim}")
+    rep._compatible(ext)
     lat = rep.lattice
     for vec, val in ext.points:
         if rep.eval_ext(vec) != val:

@@ -79,32 +79,14 @@ def _rep_table(rep):
     return [f"{list(v)} -> {lat.name(e)}" for v, e in rep.points]
 
 
-def _json_safe(obj):
-    if isinstance(obj, dict):
-        return {k: _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, tuple) and all(isinstance(c, (int, float)) for c in obj):
-        return cio.vec_to_json(obj)  # a coordinate vector, possibly with inf
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
-    return obj
-
-
 # -- command handlers --------------------------------------------------------
 
 
 def _cmd_eval(args):
+    # eval and eval-ext differ only in whether INF coordinates are accepted
     rep = _load_rep(args)
     vec = _parse_vector(args.vector)
-    val = rep.eval(vec)
-    name = rep.lattice.name(val)
-    _emit(args, {"vec": cio.vec_to_json(vec), "value": name}, [f"F{tuple(vec)} = {name}"])
-    return 0
-
-
-def _cmd_eval_ext(args):
-    rep = _load_rep(args)
-    vec = _parse_vector(args.vector)
-    val = rep.eval_ext(vec)
+    val = rep.eval_ext(vec) if args.command == "eval-ext" else rep.eval(vec)
     name = rep.lattice.name(val)
     _emit(args, {"vec": cio.vec_to_json(vec), "value": name}, [f"F{tuple(vec)} = {name}"])
     return 0
@@ -141,7 +123,7 @@ def _cmd_sublevel(args):
 
 def _cmd_props(args):
     rep = _load_rep(args)
-    report = _json_safe(admissibility_report(rep))
+    report = admissibility_report(rep)
     lines = [f"{k}: {v.get('holds')}" for k, v in report.items() if isinstance(v, dict)]
     lines.append(f"admissible: {report['admissible']}")
     _emit(args, report, lines)
@@ -239,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval-ext", help="evaluate the continuation, inf allowed")
     common(p)
     p.add_argument("vector", help="comma separated, e.g. 29,inf")
-    p.set_defaults(func=_cmd_eval_ext)
+    p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("canonical", help="canonical representation")
     common(p)

@@ -31,26 +31,17 @@ from __future__ import annotations
 from itertools import product
 
 from .antitone import Rep
+from .commutator import _require_encoding
 from .vectors import unit, vadd, vsub
 
 __all__ = [
     "admissibility_report",
     "check_hc1",
     "check_hc2",
-    "check_hc3",
-    "check_hc4",
     "check_hc7",
     "check_hc8",
     "is_admissible",
 ]
-
-
-def _require_encoding(rep: Rep) -> None:
-    if rep.dim != rep.lattice.m:
-        raise ValueError(
-            f"encoded sequences need dimension {rep.lattice.m} "
-            f"(one coordinate per lattice element), got {rep.dim}"
-        )
 
 
 def _hc1_witness(rep: Rep):
@@ -177,18 +168,6 @@ def check_hc2(rep: Rep) -> bool:
     """Monotony: replacing an occurrence by a smaller element never raises
     the value.  Checked on the canonical representation."""
     return _hc2_witness(rep) is None
-
-
-def check_hc3(rep: Rep) -> bool:
-    """Omission.  Always true: represented functions are antitone."""
-    _require_encoding(rep)
-    return True
-
-
-def check_hc4(rep: Rep) -> bool:
-    """Symmetry.  Always true: the occurrence-count encoding is symmetric."""
-    _require_encoding(rep)
-    return True
 
 
 def check_hc7(rep: Rep) -> bool:

@@ -9,7 +9,6 @@ two equal sets therefore compare equal structurally.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Set
 
@@ -97,30 +96,39 @@ class UpSet:
         inside the set, because the complement is downward closed.  Scanning
         the candidate grid with that local test therefore yields exactly the
         maxima of the complement.
+
+        The scan runs on ranks, so it is exact for coordinates of any size:
+        coordinate i is replaced by its rank among the values g_i and
+        g_i - 1 (g_i > 0) over all generators, and INF by the top rank.
+        Ranks keep the order between candidates and generators, and the
+        bump g_i - 1 -> g_i of a candidate is the step to the next rank.
         """
-        cands = []
+        axes, ranks, cands = [], [], []
         size = 1
         for i in range(self.dim):
-            vals = sorted({g[i] - 1 for g in self.gens if g[i] > 0})
-            cands.append([float(v) for v in vals] + [INF])
+            col = {g[i] for g in self.gens}
+            vals = sorted(col | {c - 1 for c in col if c > 0})
+            rank = {v: r for r, v in enumerate(vals)}
+            axes.append(vals + [INF])  # rank -> coordinate
+            ranks.append(rank)
+            cands.append([rank[c - 1] for c in col if c > 0] + [len(vals)])
             size *= len(cands[-1])
         if size > grid_limit:
             raise GridSizeError(
                 f"candidate grid has {size} points, exceeding the limit {grid_limit}"
             )
-        grid = (
-            np.array(np.meshgrid(*cands, indexing="ij"), dtype=float)
-            .reshape(self.dim, -1)
-            .T
-        )
-        gens_arr = np.array(self.gens, dtype=float).reshape(len(self.gens), self.dim)
+        grid = np.array(np.meshgrid(*cands, indexing="ij")).reshape(self.dim, -1).T
+        gens_arr = np.array(
+            [[ranks[i][c] for i, c in enumerate(g)] for g in self.gens], dtype=np.int64
+        ).reshape(len(self.gens), self.dim)
+        tops = np.array([len(axis) - 1 for axis in axes])
         keep = ~_in_up(grid, gens_arr)
         for i in range(self.dim):
             bumped = grid.copy()
-            bumped[:, i] += 1.0
-            keep &= np.isinf(grid[:, i]) | _in_up(bumped, gens_arr)
+            bumped[:, i] += 1
+            keep &= (grid[:, i] == tops[i]) | _in_up(bumped, gens_arr)
         return {
-            tuple(INF if math.isinf(c) else int(c) for c in row) for row in grid[keep]
+            tuple(axes[i][r] for i, r in enumerate(row)) for row in grid[keep].tolist()
         }
 
     def _compatible(self, other: "UpSet") -> None:

@@ -332,6 +332,16 @@ def test_extrep_rejects_conflicts(div52):
     assert len(dedup.points) == 1
 
 
+def test_rep_never_equals_extrep(div52, rep_g):
+    ext = ExtRep(div52, 2, rep_g.points)
+    assert ext.points == rep_g.points
+    assert rep_g != ext and ext != rep_g
+    assert repr(rep_g) == "Rep(dim=2, points=[([10, 20], 26), ([30, 5], 4)])"
+    assert repr(ExtRep(div52, 2, [((9, INF), "52")])) == (
+        "ExtRep(dim=2, points=[([9, inf], 52)])"
+    )
+
+
 def test_shifted_representation(rep_g, div52):
     a = (7, 3)
     shifted = rep_g.shifted(a)

@@ -98,6 +98,21 @@ def test_props_and_admissible(capsys, tmp_path, monkeypatch):
     assert code == 1  # dimension does not match the lattice size
 
 
+def test_props_witnesses_in_json(capsys, tmp_path, chain3):
+    from commrep import Rep
+
+    # F([1]) = 0 while F([alpha]) = alpha: hc2 and hc7 fail with witnesses
+    rep = Rep(chain3, 3, [((1, 0, 0), "0"), ((0, 1, 0), "alpha"), ((0, 0, 1), "0")])
+    rep_path = write_doc(tmp_path, "bad.json", rep_to_doc(rep))
+    code, out, _ = run(capsys, ["props", "--rep", rep_path])
+    assert code == 0
+    report = json.loads(out)
+    assert report["admissible"] is False
+    assert report["hc2"]["witness"]["point"] == [0, 0, 1]
+    assert report["hc7"]["witness"]["joined"] == ["alpha", "1"]
+    assert report["hc7"]["witness"]["point"] == [0, 0, 0]
+
+
 def test_admissible_false_exit(capsys, tmp_path, chain3):
     from commrep import Rep
 

@@ -8,8 +8,6 @@ from commrep import (
     chain,
     check_hc1,
     check_hc2,
-    check_hc3,
-    check_hc4,
     check_hc7,
     check_hc8,
     equal_fn,
@@ -89,14 +87,9 @@ def test_hc7_matches_box_comparison():
             assert check_hc7(rep) == brute_hc7_holds(rep)
 
 
-def test_hc3_hc4_by_encoding(rep_b):
-    assert check_hc3(rep_b)
-    assert check_hc4(rep_b)
-
-
 def test_dimension_gate(chain3):
     wrong = Rep(chain3, 2)
-    for fn in (check_hc1, check_hc2, check_hc3, check_hc4, check_hc7, check_hc8):
+    for fn in (check_hc1, check_hc2, check_hc7, check_hc8):
         with pytest.raises(ValueError, match="dimension"):
             fn(wrong)
 

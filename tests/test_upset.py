@@ -63,6 +63,36 @@ def test_complement_maxima_matches_brute_force():
         assert u.complement_maxima() == brute_complement_maxima(u)
 
 
+def test_complement_maxima_exact_for_big_coordinates():
+    u = UpSet.from_points(2, [(2**53 + 1, 0), (0, 5)])
+    assert u.complement_maxima() == {(2**53, 4)}
+    u = UpSet.from_points(3, [(2**60, 0, 1), (0, 3, 0)])
+    assert u.complement_maxima() == {(2**60 - 1, 2, INF), (INF, 2, 0)}
+
+
+def test_complement_maxima_offset_matches_brute_force():
+    # Adding OFF to every nonzero generator coordinate keeps all order
+    # relations between generators and candidates g_i - 1, so each finite
+    # coordinate of each maximum moves up by OFF.
+    off = 2**60
+    rng = random.Random(9)
+    for _ in range(80):
+        d = rng.randrange(1, 4)
+        u = UpSet.from_points(
+            d,
+            [
+                tuple(rng.randrange(5) for _ in range(d))
+                for _ in range(rng.randrange(5))
+            ],
+        )
+        big = UpSet.from_points(d, [tuple(c and c + off for c in g) for g in u.gens])
+        want = {
+            tuple(c if c == INF else c + off for c in p)
+            for p in brute_complement_maxima(u)
+        }
+        assert big.complement_maxima() == want
+
+
 def test_complement_maxima_is_antichain_outside():
     rng = random.Random(8)
     for _ in range(40):
