@@ -146,7 +146,7 @@ def _cmd_learn(args):
         return hidden.eval_ext(vec)
 
     oracle = Oracle(hidden.dim, hidden.lattice, query)
-    learned = learn(oracle, max_rounds=args.max_rounds)
+    learned = learn(oracle, max_rounds=args.max_rounds, max_queries=args.max_queries)
     doc = cio.rep_to_doc(learned)
     doc["queries"] = counter["queries"]
     _emit(args, doc, _rep_table(learned) + [f"queries: {counter['queries']}"])
@@ -253,6 +253,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, rep=False)
     p.add_argument("--oracle", required=True, help="hidden representation JSON")
     p.add_argument("--max-rounds", type=int, default=10_000)
+    p.add_argument(
+        "--max-queries", type=int, default=10_000, help="budget of distinct oracle queries"
+    )
     p.set_defaults(func=_cmd_learn)
 
     p = sub.add_parser("to-equalities", help="canonical equality set")
@@ -301,3 +304,7 @@ def main(argv=None) -> int:
 
 def main_entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    main_entry()

@@ -1,6 +1,11 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import commrep
 from commrep.cli import main
 from commrep.io import extrep_to_doc, lattice_to_doc, rep_to_doc
 
@@ -126,15 +131,18 @@ def test_learn_command(capsys, tmp_path, rep_g):
     code, out, _ = run(capsys, ["learn", "--oracle", hidden])
     assert code == 0
     doc = json.loads(out)
-    assert doc["queries"] > 0
+    assert 0 < doc["queries"] <= 64
     pts = {(tuple(p["vec"]), p["value"]) for p in doc["points"]}
-    assert ((30, 20), "2") in pts or ((10, 20), "26") in pts
+    # the witness search adds exactly the canonical points below top
+    assert pts == {((10, 20), "26"), ((30, 5), "4"), ((30, 20), "2")}
 
 
 def test_learn_round_limit(capsys, tmp_path, rep_g):
     hidden = write_doc(tmp_path, "hidden.json", rep_to_doc(rep_g))
     code, _, err = run(capsys, ["learn", "--oracle", hidden, "--max-rounds", "1"])
     assert code == 1 and "rounds" in err
+    code, _, err = run(capsys, ["learn", "--oracle", hidden, "--max-queries", "5"])
+    assert code == 1 and "5 queries" in err
 
 
 def test_to_equalities(capsys, tmp_path, monkeypatch):
@@ -180,6 +188,25 @@ def test_io_error_exit_codes(capsys, tmp_path, monkeypatch):
         capsys, ["canonical"], stdin='{"dimension": 2}', monkeypatch=monkeypatch
     )
     assert code == 2
+
+
+def test_python_dash_m_runs_the_cli(capsys, tmp_path):
+    main(["example", "B"])
+    expected = capsys.readouterr().out
+    src = str(Path(commrep.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    for module in ("commrep", "commrep.cli"):
+        done = subprocess.run(
+            [sys.executable, "-m", module, "example", "B"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0 and done.stdout == expected, module
+    missing = str(tmp_path / "missing.json")
+    done = subprocess.run(
+        [sys.executable, "-m", "commrep", "canonical", "--rep", missing],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 2 and "error" in done.stderr
 
 
 def test_unknown_example(capsys):

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -12,9 +13,7 @@ from commrep import (
     learn,
     oracle_from_rep,
 )
-from commrep.learn import vectors_by_weight
-
-from util import random_rep, small_lattices
+from util import bool4, random_rep, small_lattices
 
 
 def test_oracle_from_rep_examples(div52, rep_g):
@@ -74,25 +73,10 @@ def test_learn_accepts_name_answers(chain3, rep_b):
     assert equal_fn(learn(by_name), rep_b)
 
 
-def test_fair_enumeration_order():
-    gen = vectors_by_weight(2)
-    first = [next(gen) for _ in range(6)]
-    assert first == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
-
-
-def test_fair_enumeration_reaches_everything():
-    target = (3, 0, 2)
-    for v in vectors_by_weight(3):
-        if v == target:
-            break
-    else:  # pragma: no cover
-        raise AssertionError
-
-
 def test_enumeration_finds_counterexamples_at_infinity():
     # the hypothesis agrees with this target on every finite pinning point,
     # so the disagreement shows only at an extended point and the finite
-    # counterexample has to come from the fair enumeration
+    # counterexample has to come from the witness search along INF
     two = chain(2, ["0", "1"])
     target = Rep(two, 1, [((3,), "0")])
     history = []
@@ -103,16 +87,62 @@ def test_enumeration_finds_counterexamples_at_infinity():
 
 def test_learn_random_round_trips():
     rng = random.Random(20)
-    for _ in range(15):
+    for _ in range(100):
         lat = rng.choice(small_lattices())
-        d = rng.randrange(1, 4)
-        target = random_rep(rng, lat, d, max_coord=5, max_points=6)
+        d = rng.randrange(1, 5)
+        target = random_rep(rng, lat, d, max_coord=40, max_points=6)
         history = []
         learned = learn(oracle_from_rep(target), history=history)
         assert equal_fn(learned, target)
-        # empirically the loop never needs more rounds than the size of the
-        # canonical representation, plus slack for lattice detours
-        assert len(history) <= len(target.canonical().points) + lat.m
+        # every witness is a canonical point of the target, and a new one
+        # in each round
+        canonical = set(target.canonical().points)
+        assert set(learned.points) <= canonical
+        assert len(history) <= len(canonical)
+
+
+@pytest.mark.parametrize("point, budget", [((12,) * 4, 64), ((10**30,) * 3, 700)])
+def test_learn_far_points(point, budget):
+    # O(d log c) queries; enumerating the vectors below (12,)*4 took 261,982
+    two = chain(2, ["0", "1"])
+    target = Rep(two, len(point), [(point, "0")])
+    calls = []
+    oracle = Oracle(len(point), two, lambda v: (calls.append(v), target.eval_ext(v))[1])
+    assert learn(oracle) == target
+    assert len(calls) <= budget
+
+
+def test_inconsistent_oracle_exhausts_the_query_budget():
+    # bottom exactly at the non-finite vectors: no antitone function with a
+    # finite representation answers like this, so no finite witness exists
+    two = chain(2, ["0", "1"])
+    oracle = Oracle(2, two, lambda v: two.bottom if INF in v else two.top)
+    start = time.perf_counter()
+    with pytest.raises(RoundLimitError, match="queries"):
+        learn(oracle, max_rounds=3)
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(RoundLimitError, match="5 queries"):
+        learn(oracle_from_rep(Rep(two, 1, [((3,), "0")])), max_queries=5)
+    with pytest.raises(ValueError):
+        learn(oracle, max_queries=0)
+
+
+def test_answer_above_the_hypothesis_is_rejected():
+    # a on the x axis, b on the y axis, bottom beyond both, but top again at
+    # (1, 1): once (1, 0) -> a and (0, 1) -> b are learned, the hypothesis
+    # is a meet b = bottom at (1, 1), and the answer there does not drop below
+    lat = bool4()
+    a, b = (e for e in range(lat.m) if e not in (lat.top, lat.bottom))
+
+    def query(v):
+        if v in ((0, 0), (1, 1)):
+            return lat.top
+        return a if v[1] == 0 else b if v[0] == 0 else lat.bottom
+
+    history = []
+    with pytest.raises(RoundLimitError, match="antitone"):
+        learn(Oracle(2, lat, query), history=history)
+    assert ((1, 0), a) in history and ((0, 1), b) in history
 
 
 def test_learn_counts_queries(rep_g):
