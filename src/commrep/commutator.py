@@ -24,10 +24,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
 
-from .antitone import Rep, equal_fn
+from .antitone import Rep
+from .hc import _require_encoding, check_hc1, check_hc2
 from .lattice import Lattice, chain, divisor_lattice
-from .vectors import INF, Vec, unit, vadd, vsub
+from .vectors import INF, Vec, unit
 
 __all__ = [
     "CommEquality",
@@ -102,13 +104,6 @@ def args_from_vector(lattice: Lattice, vec: Vec) -> tuple[int, ...]:
     for j, c in enumerate(vec):
         out.extend([j] * c)
     return tuple(out)
-
-
-def _require_encoding(rep: Rep) -> None:
-    if rep.dim != rep.lattice.m:
-        raise ValueError(
-            f"sequence evaluation needs dimension {rep.lattice.m}, got {rep.dim}"
-        )
 
 
 def eval_commutator(rep: Rep, args) -> int:
@@ -191,32 +186,35 @@ def largest_from_equalities(
     return rep, report
 
 
-def _monotone_closed_rep(lattice: Lattice, pairs) -> Rep:
-    """Largest sequence with boundedness and monotony below the given points.
+def _reaches(lattice: Lattice, b: Vec, x: Vec) -> bool:
+    """Whether replacing arguments of b by smaller elements can bring b below x.
+
+    By Hall's theorem the occurrences of b match into those of x, each onto
+    an element below it, exactly when b(D) <= x(D) for every down-set D
+    generated by part of b's support (v(D) sums v over D).
+    """
+    support = [j for j, c in enumerate(b) if c]
+    for r in range(1, len(support) + 1):
+        for part in combinations(support, r):
+            down = [i for i in range(len(b)) if any(lattice.leq(i, j) for j in part)]
+            if sum(b[i] for i in down) > sum(x[i] for i in down):
+                return False
+    return True
+
+
+def _monotone_closed_rep(lattice: Lattice, pairs):
+    """Evaluator of the largest bounded, monotone sequence below the points.
 
     Unit points (element j at its own singleton bracket) force boundedness;
-    monotony is forced by closing every constraint under replacing one
-    occurrence by a smaller element, which only adds constraints any
-    monotone sequence below the originals must satisfy.
+    monotony puts the value at x below that of each point that reaches x.
     """
     m = lattice.m
-    work = [(unit(m, j), j) for j in range(m)]
-    work.extend((tuple(v), val) for v, val in pairs)
-    seen = set(work)
-    while work:
-        b, beta = work.pop()
-        for j in range(m):
-            if b[j] == 0:
-                continue
-            for i in range(m):
-                if i == j or not lattice.leq(i, j):
-                    continue
-                moved = vadd(vsub(b, unit(m, j)), unit(m, i))
-                item = (moved, beta)
-                if item not in seen:
-                    seen.add(item)
-                    work.append(item)
-    return Rep(lattice, m, seen)
+    pairs = [(unit(m, j), j) for j in range(m)] + list(pairs)
+
+    def closed(x: Vec) -> int:
+        return lattice.big_meet(beta for b, beta in pairs if _reaches(lattice, b, x))
+
+    return closed
 
 
 def reduced_equalities(rep: Rep) -> tuple[CommEquality, ...]:
@@ -225,8 +223,10 @@ def reduced_equalities(rep: Rep) -> tuple[CommEquality, ...]:
 
     Starting from the canonical equalities, the trivial ones are dropped
     (the empty bracket, and singleton brackets attaining their own
-    argument), then any equality that the largest bounded monotone
-    sequence through the remaining ones already attains.
+    argument), then, if the sequence is bounded (hc1) and monotone (hc2),
+    any that the largest bounded monotone sequence through the remaining
+    ones already attains.  That sequence is bounded and monotone, so it
+    never equals one that is not; its values come from Hall's condition.
     """
     _require_encoding(rep)
     lat = rep.lattice
@@ -236,13 +236,15 @@ def reduced_equalities(rep: Rep) -> tuple[CommEquality, ...]:
             return e.rhs == lat.top  # the empty bracket is top by encoding
         return len(e.args) == 1 and e.args[0] == e.rhs
 
-    kept = [e for e in to_equalities(rep) if not trivial(e)]
+    points = rep.canonical().points
+    eqs = {CommEquality(args_from_vector(lat, v), val): v for v, val in points}
+    kept = [e for e in eqs if not trivial(e)]
+    if not (check_hc1(rep) and check_hc2(rep)):
+        return tuple(kept)
     for e in sorted(kept, key=lambda q: (len(q.args), q.args, q.rhs)):
         rest = [q for q in kept if q != e]
-        closed = _monotone_closed_rep(
-            lat, [(encode_args(lat, q.args), q.rhs) for q in rest]
-        )
-        if equal_fn(closed, rep):
+        closed = _monotone_closed_rep(lat, [(eqs[q], q.rhs) for q in rest])
+        if all(lat.leq(closed(v), q.rhs) for q, v in eqs.items()):
             kept = rest
     return tuple(kept)
 

@@ -31,7 +31,6 @@ from __future__ import annotations
 from itertools import product
 
 from .antitone import Rep
-from .commutator import _require_encoding
 from .vectors import unit, vadd, vsub
 
 __all__ = [
@@ -42,6 +41,13 @@ __all__ = [
     "check_hc8",
     "is_admissible",
 ]
+
+
+def _require_encoding(rep: Rep) -> None:
+    if rep.dim != rep.lattice.m:
+        raise ValueError(
+            f"sequence evaluation needs dimension {rep.lattice.m}, got {rep.dim}"
+        )
 
 
 def _hc1_witness(rep: Rep):
@@ -108,12 +114,16 @@ def _hc8_witness(rep: Rep):
     return None
 
 
-def _hc7_triple_ok(rep: Rep, i: int, j: int, k: int, alpha: int) -> bool:
+def _hc7_separator(rep: Rep, i: int, j: int, k: int, alpha: int):
+    """A generator in just one of {x : F(x + e_k) <= alpha} and
+    {x : F(x + e_i) <= alpha and F(x + e_j) <= alpha}, or None."""
     level = rep.sublevel(alpha)
     ek = level.shift(unit(rep.dim, k))
-    ei = level.shift(unit(rep.dim, i))
-    ej = level.shift(unit(rep.dim, j))
-    return ek == ei & ej
+    both = level.shift(unit(rep.dim, i)) & level.shift(unit(rep.dim, j))
+    for g in ek.gens + both.gens:
+        if not (ek.member(g) and both.member(g)):
+            return g
+    return None
 
 
 def _hc7_witness(rep: Rep):
@@ -127,9 +137,9 @@ def _hc7_witness(rep: Rep):
         for j in range(i, lat.m):
             k = lat.join(i, j)
             for alpha in range(lat.m):
-                if _hc7_triple_ok(rep, i, j, k, alpha):
+                x = _hc7_separator(rep, i, j, k, alpha)
+                if x is None:
                     continue
-                x = _hc7_distinguishing_point(rep, i, j, k, alpha)
                 lhs = rep.eval(vadd(x, unit(rep.dim, k)))
                 rhs = lat.join(
                     rep.eval(vadd(x, unit(rep.dim, i))),
@@ -144,19 +154,6 @@ def _hc7_witness(rep: Rep):
                     "join_of_values": lat.name(rhs),
                 }
     return None
-
-
-def _hc7_distinguishing_point(rep: Rep, i, j, k, alpha):
-    level = rep.sublevel(alpha)
-    ek = level.shift(unit(rep.dim, k))
-    both = level.shift(unit(rep.dim, i)) & level.shift(unit(rep.dim, j))
-    for g in ek.gens:
-        if not both.member(g):
-            return g
-    for g in both.gens:
-        if not ek.member(g):
-            return g
-    raise AssertionError("sublevels differ but no separating generator found")
 
 
 def check_hc1(rep: Rep) -> bool:
@@ -187,7 +184,7 @@ def is_admissible(rep: Rep) -> bool:
     (hc3 and hc4 hold by encoding)."""
     if not (check_hc1(rep) and check_hc2(rep)):
         return False
-    return check_hc7(rep) and check_hc8(rep)
+    return check_hc7(rep) and _hc8_witness(rep) is None
 
 
 def admissibility_report(rep: Rep) -> dict:

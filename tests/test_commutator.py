@@ -5,6 +5,8 @@ import pytest
 from commrep import (
     CommEquality,
     Rep,
+    check_hc1,
+    check_hc2,
     encode_args,
     equal_fn,
     eval_commutator,
@@ -21,6 +23,13 @@ from commrep.commutator import (
     args_from_vector,
     make_equality,
     make_extended_equality,
+)
+from commrep.vectors import unit
+from util import (
+    box,
+    brute_monotone_closed_rep,
+    brute_reduced_equalities,
+    lattice_catalog,
 )
 
 
@@ -191,7 +200,9 @@ def test_monotone_closed_interpolant_recovers_b(chain3, rep_b):
         (encode_args(chain3, ["1", "alpha"]), chain3.index("0")),
     ]
     closed = _monotone_closed_rep(chain3, pairs)
-    assert equal_fn(closed, rep_b)
+    brute = brute_monotone_closed_rep(chain3, pairs)
+    for x in box(5, 3):
+        assert closed(x) == rep_b.eval(x) == brute.eval(x)
 
 
 def test_reduced_equalities(chain3, rep_b, rep_b7):
@@ -208,10 +219,72 @@ def test_reduced_equalities(chain3, rep_b, rep_b7):
 
 def test_reduced_set_still_determines_largest(chain3, rep_b):
     kept = reduced_equalities(rep_b)
-    closed = _monotone_closed_rep(
-        chain3, [(encode_args(chain3, e.args), e.rhs) for e in kept]
+    pairs = [(encode_args(chain3, e.args), e.rhs) for e in kept]
+    closed = _monotone_closed_rep(chain3, pairs)
+    brute = brute_monotone_closed_rep(chain3, pairs)
+    for x in box(5, 3):
+        assert closed(x) == rep_b.eval(x) == brute.eval(x)
+
+
+def test_reduced_equalities_match_materialised_closure():
+    # Random encodings over the small catalog lattices; unit points take a
+    # value below their element, so that many of them are bounded and
+    # monotone and reduction has something to drop.
+    rng = random.Random(50)
+    lattices = [lat for lat in lattice_catalog() if lat.m <= 5]
+    admissible = dropping = 0
+    for _ in range(400):
+        lat = rng.choice(lattices)
+        m = lat.m
+        pts = [
+            (tuple(rng.randrange(3) for _ in range(m)), rng.randrange(m))
+            for _ in range(rng.randrange(5))
+        ]
+        pts += [
+            (unit(m, j), rng.choice([i for i in range(m) if lat.leq(i, j)]))
+            for j in range(m)
+            if rng.random() < 0.7
+        ]
+        rep = Rep(lat, m, pts)
+        got = reduced_equalities(rep)
+        assert got == brute_reduced_equalities(rep), rep
+        if check_hc1(rep) and check_hc2(rep):
+            admissible += 1
+            nontrivial = [
+                e
+                for e in to_equalities(rep)
+                if not (e.args == () and e.rhs == lat.top)
+                and not (len(e.args) == 1 and e.args[0] == e.rhs)
+            ]
+            dropping += len(got) < len(nontrivial)
+    assert admissible >= 100
+    assert dropping >= 10
+
+
+def test_monotone_closure_evaluator_matches_materialised_closure():
+    rng = random.Random(51)
+    for lat in lattice_catalog():
+        if lat.m > 3:
+            continue
+        for _ in range(10):
+            pairs = [
+                (tuple(rng.randrange(3) for _ in range(lat.m)), rng.randrange(lat.m))
+                for _ in range(rng.randrange(4))
+            ]
+            closed = _monotone_closed_rep(lat, pairs)
+            brute = brute_monotone_closed_rep(lat, pairs)
+            for x in box(3, lat.m):
+                assert closed(x) == brute.eval(x)
+
+
+@pytest.mark.parametrize("k", [128, 512])
+def test_reduced_equalities_large_collapse(chain3, rep_b, k):
+    rep = Rep(chain3, 3, list(rep_b.points) + [((0, 0, k), "0")])
+    assert reduced_equalities(rep) == (
+        make_equality(chain3, ["1", "1"], "alpha"),
+        make_equality(chain3, ["1"] * k, "0"),
+        make_equality(chain3, ["alpha", "1"], "0"),
     )
-    assert equal_fn(closed, rep_b)
 
 
 def test_examples(div52, rep_g, rep_b, rep_b7):

@@ -16,7 +16,7 @@ from commrep import (
     unit,
     vadd,
 )
-from commrep.hc import _hc7_triple_ok
+from commrep.hc import _hc7_separator
 
 from util import bool4, brute_hc7_holds, random_ext_vec, random_rep, small_lattices
 
@@ -67,7 +67,7 @@ def test_hc7_idempotent_triples_always_pass():
             rep = random_rep(rng, lat, lat.m, max_coord=3, max_points=4)
             for i in range(lat.m):
                 for alpha in range(lat.m):
-                    assert _hc7_triple_ok(rep, i, i, i, alpha)
+                    assert _hc7_separator(rep, i, i, i, alpha) is None
 
 
 def test_hc7_counterexample_on_diamond():

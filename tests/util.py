@@ -8,8 +8,20 @@ from itertools import product
 
 import numpy as np
 
-from commrep import INF, Lattice, Rep, UpSet, chain, divisor_lattice
+from commrep import (
+    INF,
+    CommEquality,
+    Lattice,
+    Rep,
+    UpSet,
+    chain,
+    divisor_lattice,
+    encode_args,
+    equal_fn,
+    to_equalities,
+)
 from commrep.upset import min_elements
+from commrep.vectors import unit, vadd, vsub
 
 
 def bool4() -> Lattice:
@@ -162,3 +174,48 @@ def graph_sample(rep: Rep, bound: int | None = None):
     """The function's graph restricted to a box, as a dict."""
     b = coord_bound(rep) if bound is None else bound
     return {v: rep.eval(v) for v in box(b, rep.dim)}
+
+
+def brute_monotone_closed_rep(lattice: Lattice, pairs) -> Rep:
+    """Largest sequence with boundedness and monotony below the given points,
+    with every constraint closed explicitly under replacing one occurrence
+    by a smaller element."""
+    m = lattice.m
+    work = [(unit(m, j), j) for j in range(m)]
+    work.extend((tuple(v), val) for v, val in pairs)
+    seen = set(work)
+    while work:
+        b, beta = work.pop()
+        for j in range(m):
+            if b[j] == 0:
+                continue
+            for i in range(m):
+                if i == j or not lattice.leq(i, j):
+                    continue
+                moved = vadd(vsub(b, unit(m, j)), unit(m, i))
+                item = (moved, beta)
+                if item not in seen:
+                    seen.add(item)
+                    work.append(item)
+    return Rep(lattice, m, seen)
+
+
+def brute_reduced_equalities(rep: Rep) -> tuple[CommEquality, ...]:
+    """Equality reduction by materialising the closure of the remaining
+    equalities for every trial and comparing whole functions."""
+    lat = rep.lattice
+
+    def trivial(e: CommEquality) -> bool:
+        if not e.args:
+            return e.rhs == lat.top
+        return len(e.args) == 1 and e.args[0] == e.rhs
+
+    kept = [e for e in to_equalities(rep) if not trivial(e)]
+    for e in sorted(kept, key=lambda q: (len(q.args), q.args, q.rhs)):
+        rest = [q for q in kept if q != e]
+        closed = brute_monotone_closed_rep(
+            lat, [(encode_args(lat, q.args), q.rhs) for q in rest]
+        )
+        if equal_fn(closed, rep):
+            kept = rest
+    return tuple(kept)
