@@ -19,7 +19,6 @@ from .antitone import (
 )
 from .commutator import (
     CommEquality,
-    ExtCommEquality,
     encode_args,
     eval_commutator,
     eval_extended,
@@ -60,7 +59,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CommEquality",
-    "ExtCommEquality",
     "ExtRep",
     "GridSizeError",
     "INF",

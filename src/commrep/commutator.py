@@ -9,15 +9,14 @@ representation of that function, converts representations to equality sets
 and back, and ships the worked example sequences used throughout the test
 suite and the demos.
 
-Equalities come in two kinds.  A plain equality states the value of the
-sequence on one multiset of arguments.  An extended equality additionally
-names a set of elements that may be inserted arbitrarily often; its value
-is the meet over all such insertions, which on the encoding side is the
-continuation evaluated with INF in the coordinates of the named elements.
-A representation's canonical points translate into plain equalities whose
-largest symmetric antitone model is the represented sequence; the points
-of a complete representation translate into extended equalities that pin
-the sequence down uniquely.
+An equality states the value of the sequence on one argument multiset,
+kept as its occurrence-count vector.  A coordinate may be INF: that element
+may then be inserted arbitrarily often, and the stated value is the meet
+over all such insertions, which is the continuation evaluated at the
+vector.  Such an equality is called extended.  A representation's canonical
+points translate into finite equalities whose largest symmetric antitone
+model is the represented sequence; the points of a complete representation
+translate into equalities that pin the sequence down uniquely.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from .vectors import INF, Vec, unit
 
 __all__ = [
     "CommEquality",
-    "ExtCommEquality",
     "args_from_vector",
     "encode_args",
     "eval_commutator",
@@ -50,59 +48,39 @@ __all__ = [
 @dataclass(frozen=True)
 class CommEquality:
     """States that the sequence takes value ``rhs`` on the argument multiset
-    ``args`` (a sorted tuple of element indices; order never matters)."""
+    with occurrence counts ``vec``; an INF count marks an element that may
+    occur any number of times, and the stated value is the meet over all
+    such paddings."""
 
-    args: tuple[int, ...]
+    vec: Vec
     rhs: int
 
     def render(self, lattice: Lattice) -> str:
-        inner = ",".join(lattice.name(a) for a in self.args)
-        return f"[{inner}] = {lattice.name(self.rhs)}"
-
-
-@dataclass(frozen=True)
-class ExtCommEquality:
-    """Like :class:`CommEquality` with a set ``unbounded`` of elements that
-    may additionally occur any number of times; the stated value is the
-    meet over all such paddings."""
-
-    unbounded: frozenset[int]
-    args: tuple[int, ...]
-    rhs: int
-
-    def render(self, lattice: Lattice) -> str:
-        s = ",".join(sorted(lattice.name(u) for u in self.unbounded))
-        inner = ",".join(lattice.name(a) for a in self.args)
+        inner = ",".join(lattice.name(a) for a in args_from_vector(lattice, self.vec))
+        if INF not in self.vec:
+            return f"[{inner}] = {lattice.name(self.rhs)}"
+        s = ",".join(sorted(lattice.name(j) for j, c in enumerate(self.vec) if c == INF))
         return f"[{{{s}}}; {inner}] = {lattice.name(self.rhs)}"
 
 
-def _resolve_args(lattice: Lattice, args) -> tuple[int, ...]:
-    return tuple(sorted(lattice.resolve(a) for a in args))
+def make_equality(lattice: Lattice, args, rhs, unbounded=()) -> CommEquality:
+    return CommEquality(encode_args(lattice, args, unbounded), lattice.resolve(rhs))
 
 
-def make_equality(lattice: Lattice, args, rhs) -> CommEquality:
-    return CommEquality(_resolve_args(lattice, args), lattice.resolve(rhs))
-
-
-def make_extended_equality(lattice: Lattice, unbounded, args, rhs) -> ExtCommEquality:
-    return ExtCommEquality(
-        frozenset(lattice.resolve(u) for u in unbounded),
-        _resolve_args(lattice, args),
-        lattice.resolve(rhs),
-    )
-
-
-def encode_args(lattice: Lattice, args) -> Vec:
-    """Occurrence-count vector of an argument multiset."""
+def encode_args(lattice: Lattice, args, unbounded=()) -> Vec:
+    """Occurrence-count vector of an argument multiset, with INF at the
+    elements of ``unbounded``."""
     counts = Counter(lattice.resolve(a) for a in args)
-    return tuple(counts.get(j, 0) for j in range(lattice.m))
+    s = {lattice.resolve(u) for u in unbounded}
+    return tuple(INF if j in s else counts.get(j, 0) for j in range(lattice.m))
 
 
 def args_from_vector(lattice: Lattice, vec: Vec) -> tuple[int, ...]:
-    """Expand an occurrence-count vector back into a sorted argument tuple."""
+    """Spell the finite counts of a vector out as a sorted argument tuple."""
     out = []
     for j, c in enumerate(vec):
-        out.extend([j] * c)
+        if c != INF:
+            out.extend([j] * c)
     return tuple(out)
 
 
@@ -120,36 +98,27 @@ def eval_extended(rep: Rep, unbounded, args) -> int:
     """Value of an extended bracket: ``unbounded`` elements may be inserted
     arbitrarily often, so their coordinates are INF in the encoding."""
     _require_encoding(rep)
-    lat = rep.lattice
-    s = {lat.resolve(u) for u in unbounded}
-    base = encode_args(lat, args)
-    vec = tuple(INF if j in s else base[j] for j in range(lat.m))
-    return rep.eval_ext(vec)
+    return rep.eval_ext(encode_args(rep.lattice, args, unbounded))
 
 
-def satisfies(rep: Rep, eq: CommEquality | ExtCommEquality) -> bool:
+def satisfies(rep: Rep, eq: CommEquality) -> bool:
     """Whether the encoded sequence attains the stated equality exactly."""
-    if isinstance(eq, ExtCommEquality):
-        return eval_extended(rep, eq.unbounded, eq.args) == eq.rhs
-    return eval_commutator(rep, eq.args) == eq.rhs
+    _require_encoding(rep)
+    return rep.eval_ext(eq.vec) == eq.rhs
 
 
 def to_equalities(rep: Rep) -> tuple[CommEquality, ...]:
-    """One plain equality per canonical point.
+    """One finite equality per canonical point.
 
     The represented sequence is the largest symmetric antitone sequence
     satisfying the returned set.
     """
     _require_encoding(rep)
-    lat = rep.lattice
-    return tuple(
-        CommEquality(args_from_vector(lat, vec), val)
-        for vec, val in rep.canonical().points
-    )
+    return tuple(CommEquality(v, val) for v, val in rep.canonical().points)
 
 
-def to_extended_equalities(rep: Rep) -> tuple[ExtCommEquality, ...]:
-    """One extended equality per point of a complete representation.
+def to_extended_equalities(rep: Rep) -> tuple[CommEquality, ...]:
+    """One equality per point of a complete representation.
 
     The returned set pins the sequence down uniquely among symmetric
     antitone sequences.  Several complete point sets exist; the one
@@ -157,13 +126,7 @@ def to_extended_equalities(rep: Rep) -> tuple[ExtCommEquality, ...]:
     pinning set rather than one particular hand-picked presentation.
     """
     _require_encoding(rep)
-    lat = rep.lattice
-    out = []
-    for vec, val in rep.complete().points:
-        unbounded = frozenset(j for j, c in enumerate(vec) if c == INF)
-        finite = tuple(c if c != INF else 0 for c in vec)
-        out.append(ExtCommEquality(unbounded, args_from_vector(lat, finite), val))
-    return tuple(out)
+    return tuple(CommEquality(v, val) for v, val in rep.complete().points)
 
 
 def largest_from_equalities(
@@ -174,14 +137,16 @@ def largest_from_equalities(
     Returns its representation together with, for each input equality,
     whether the sequence attains it with equality.  An inconsistent set
     shows up as equalities that are not attained (the function passes
-    strictly below them).
+    strictly below them).  Extended equalities are rejected: a meet over
+    infinitely many paddings has no largest model in general.
     """
     eqs = tuple(eqs)
-    rep = Rep(
-        lattice,
-        lattice.m,
-        [(encode_args(lattice, e.args), e.rhs) for e in eqs],
-    )
+    for e in eqs:
+        if INF in e.vec:
+            raise ValueError(
+                f"extended equality {e.render(lattice)} has no largest model"
+            )
+    rep = Rep(lattice, lattice.m, [(e.vec, e.rhs) for e in eqs])
     report = tuple((e, satisfies(rep, e)) for e in eqs)
     return rep, report
 
@@ -231,20 +196,20 @@ def reduced_equalities(rep: Rep) -> tuple[CommEquality, ...]:
     _require_encoding(rep)
     lat = rep.lattice
 
-    def trivial(e: CommEquality) -> bool:
-        if not e.args:
-            return e.rhs == lat.top  # the empty bracket is top by encoding
-        return len(e.args) == 1 and e.args[0] == e.rhs
+    def trivial(v: Vec, val: int) -> bool:
+        if not any(v):
+            return val == lat.top  # the empty bracket is top by encoding
+        return sum(v) == 1 and v[val] == 1
 
     points = rep.canonical().points
-    eqs = {CommEquality(args_from_vector(lat, v), val): v for v, val in points}
-    kept = [e for e in eqs if not trivial(e)]
+    kept = [CommEquality(v, val) for v, val in points if not trivial(v, val)]
     if not (check_hc1(rep) and check_hc2(rep)):
         return tuple(kept)
-    for e in sorted(kept, key=lambda q: (len(q.args), q.args, q.rhs)):
+    # fewest arguments first, then the spelled-out argument tuples in order
+    for e in sorted(kept, key=lambda q: (sum(q.vec), tuple(-c for c in q.vec))):
         rest = [q for q in kept if q != e]
-        closed = _monotone_closed_rep(lat, [(eqs[q], q.rhs) for q in rest])
-        if all(lat.leq(closed(v), q.rhs) for q, v in eqs.items()):
+        closed = _monotone_closed_rep(lat, [(q.vec, q.rhs) for q in rest])
+        if all(lat.leq(closed(v), val) for v, val in points):
             kept = rest
     return tuple(kept)
 

@@ -12,7 +12,7 @@ import math
 from typing import Any
 
 from .antitone import ExtRep, Rep
-from .commutator import ExtCommEquality, make_equality, make_extended_equality
+from .commutator import args_from_vector, make_equality
 from .lattice import Lattice
 from .vectors import INF
 
@@ -100,6 +100,9 @@ def _points_to_doc(ps: Rep | ExtRep) -> dict:
 def _points_from_doc(cls, doc: Any, lattice: Lattice | None):
     if not isinstance(doc, dict) or "dimension" not in doc or "points" not in doc:
         raise ParseError("point set document needs 'dimension' and 'points'")
+    dim = doc["dimension"]
+    if not isinstance(dim, int) or isinstance(dim, bool):
+        raise ParseError(f"'dimension' must be an integer, got {dim!r}")
     lat = _doc_lattice(doc, lattice)
     data = doc["points"]
     if not isinstance(data, list):
@@ -109,7 +112,7 @@ def _points_from_doc(cls, doc: Any, lattice: Lattice | None):
         if not isinstance(item, dict) or "vec" not in item or "value" not in item:
             raise ParseError("each point needs 'vec' and 'value'")
         points.append((vec_from_json(item["vec"]), item["value"]))
-    return cls(lat, int(doc["dimension"]), points)
+    return cls(lat, dim, points)
 
 
 # One function object per public name, so that wrapping one name by
@@ -137,24 +140,33 @@ def upset_to_doc(upset) -> dict:
 def equalities_to_doc(lat: Lattice, eqs) -> dict:
     items = []
     for e in eqs:
-        item: dict = {"args": [lat.name(a) for a in e.args], "rhs": lat.name(e.rhs)}
-        if isinstance(e, ExtCommEquality):
-            item = {"S": sorted(lat.name(u) for u in e.unbounded), **item}
+        item: dict = {
+            "args": [lat.name(a) for a in args_from_vector(lat, e.vec)],
+            "rhs": lat.name(e.rhs),
+        }
+        unbounded = sorted(lat.name(j) for j, c in enumerate(e.vec) if c == INF)
+        if unbounded:
+            item = {"S": unbounded, **item}
         items.append(item)
     return {"lattice": lattice_to_doc(lat), "equalities": items}
 
 
+def _list(item: dict, key: str) -> list:
+    value = item.get(key, [])
+    if not isinstance(value, list):
+        raise ParseError(f"{key!r} must be a list, got {type(value).__name__}")
+    return value
+
+
 def equalities_from_doc(doc: Any, lattice: Lattice | None = None):
-    """Read a (possibly mixed) list of plain and extended equalities."""
+    """Read a list of equalities; an optional ``"S"`` list names the
+    elements that may occur arbitrarily often."""
     if not isinstance(doc, dict) or "equalities" not in doc:
         raise ParseError("equality document needs an 'equalities' list")
     lat = _doc_lattice(doc, lattice)
     out = []
-    for item in doc["equalities"]:
+    for item in _list(doc, "equalities"):
         if not isinstance(item, dict) or "args" not in item or "rhs" not in item:
             raise ParseError("each equality needs 'args' and 'rhs'")
-        if "S" in item:
-            out.append(make_extended_equality(lat, item["S"], item["args"], item["rhs"]))
-        else:
-            out.append(make_equality(lat, item["args"], item["rhs"]))
+        out.append(make_equality(lat, _list(item, "args"), item["rhs"], _list(item, "S")))
     return lat, tuple(out)

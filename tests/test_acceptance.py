@@ -20,7 +20,7 @@ from commrep import (
     satisfies,
     to_extended_equalities,
 )
-from commrep.commutator import make_equality, make_extended_equality
+from commrep.commutator import make_equality
 from commrep.hc import check_hc7
 
 from util import (
@@ -75,8 +75,8 @@ def test_criterion_3_algebra_b(chain3, rep_b, known_h):
         make_equality(chain3, ["0"], "0"),
         make_equality(chain3, ["alpha"], "alpha"),
         make_equality(chain3, ["1"], "1"),
-        make_extended_equality(chain3, ["1"], [], "alpha"),
-        make_extended_equality(chain3, ["0", "alpha", "1"], [], "0"),
+        make_equality(chain3, [], "alpha", unbounded=["1"]),
+        make_equality(chain3, [], "0", unbounded=["0", "alpha", "1"]),
     ]
     for eq in facts:
         assert satisfies(rep_b, eq)

@@ -159,6 +159,7 @@ def test_to_equalities(capsys, tmp_path, monkeypatch):
     code, out, _ = run(capsys, ["to-extended-equalities", "--rep", rep_path])
     ext = json.loads(out)["equalities"]
     assert {"S": ["1"], "args": [], "rhs": "alpha"} in ext
+    assert {"args": ["1", "1"], "rhs": "alpha"} in ext  # no "S" when nothing is unbounded
 
 
 def test_from_equalities(capsys, tmp_path, chain3, monkeypatch):
@@ -177,6 +178,22 @@ def test_from_equalities(capsys, tmp_path, chain3, monkeypatch):
     assert {"vec": [0, 0, 2], "value": "alpha"} in result["points"]
 
 
+def test_from_equalities_rejects_extended(capsys, monkeypatch):
+    _, rep, _ = run(capsys, ["example", "B"])
+    _, ext, _ = run(capsys, ["to-extended-equalities"], stdin=rep, monkeypatch=monkeypatch)
+    code, out, err = run(capsys, ["from-equalities"], stdin=ext, monkeypatch=monkeypatch)
+    assert code == 1 and out == ""
+    assert "[{1}; ] = alpha" in err
+
+
+def test_from_equalities_rejects_strings_for_lists(capsys, tmp_path, chain3):
+    for eq in ({"args": "11", "rhs": "alpha"}, {"S": "1", "args": [], "rhs": "alpha"}):
+        doc = {"lattice": lattice_to_doc(chain3), "equalities": [eq]}
+        eq_path = write_doc(tmp_path, "eqs.json", doc)
+        code, out, err = run(capsys, ["from-equalities", "--equalities", eq_path])
+        assert code == 2 and "must be a list" in err
+
+
 def test_io_error_exit_codes(capsys, tmp_path, monkeypatch):
     code, _, err = run(capsys, ["canonical", "--rep", str(tmp_path / "missing.json")])
     assert code == 2
@@ -188,6 +205,13 @@ def test_io_error_exit_codes(capsys, tmp_path, monkeypatch):
         capsys, ["canonical"], stdin='{"dimension": 2}', monkeypatch=monkeypatch
     )
     assert code == 2
+    code, _, err = run(
+        capsys,
+        ["canonical"],
+        stdin='{"dimension": "x", "points": [], "lattice": {"elements": ["0"], "leq": [[true]]}}',
+        monkeypatch=monkeypatch,
+    )
+    assert code == 2 and "dimension" in err
 
 
 def test_python_dash_m_runs_the_cli(capsys, tmp_path):

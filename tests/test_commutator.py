@@ -3,6 +3,7 @@ import random
 import pytest
 
 from commrep import (
+    INF,
     CommEquality,
     Rep,
     check_hc1,
@@ -22,7 +23,6 @@ from commrep.commutator import (
     _monotone_closed_rep,
     args_from_vector,
     make_equality,
-    make_extended_equality,
 )
 from commrep.vectors import unit
 from util import (
@@ -30,7 +30,10 @@ from util import (
     brute_monotone_closed_rep,
     brute_reduced_equalities,
     lattice_catalog,
+    random_rep,
 )
+
+BIG = 2**60
 
 
 def rendered(lat, eqs):
@@ -42,11 +45,13 @@ def test_encode_args(chain3):
     assert encode_args(chain3, []) == (0, 0, 0)
     assert encode_args(chain3, ["alpha", "1"]) == (0, 1, 1)
     assert encode_args(chain3, ["1", "alpha"]) == (0, 1, 1)  # order free
+    assert encode_args(chain3, ["1", "alpha"], ["1"]) == (0, 1, INF)
 
 
 def test_args_round_trip(chain3):
     vec = (1, 0, 3)
     assert encode_args(chain3, args_from_vector(chain3, vec)) == vec
+    assert args_from_vector(chain3, (INF, 2, 1)) == (1, 1, 2)  # INF is skipped
 
 
 def test_eval_commutator_examples(chain3, rep_b, rep_b7):
@@ -107,7 +112,7 @@ def test_satisfies(chain3, rep_b):
     assert satisfies(rep_b, make_equality(chain3, ["1", "1"], "alpha"))
     assert not satisfies(rep_b, make_equality(chain3, ["1", "1"], "0"))
     assert not satisfies(
-        example("B7")[1], make_extended_equality(chain3, ["1"], [], "alpha")
+        example("B7")[1], make_equality(chain3, [], "alpha", unbounded=["1"])
     )
 
 
@@ -145,7 +150,7 @@ def test_extended_equalities_pin_the_function(chain3, rep_b):
     # a sequence satisfying the emitted set is forced to agree everywhere:
     # recover it through learning against an oracle built from the set
     eqs = to_extended_equalities(rep_b)
-    assert any(e.unbounded for e in eqs)
+    assert any(INF in e.vec for e in eqs)
     for e in eqs:
         assert satisfies(rep_b, e)
 
@@ -179,6 +184,36 @@ def test_largest_from_equalities_empty(chain3):
     rep, report = largest_from_equalities(chain3, [])
     assert rep.points == ()
     assert report == ()
+
+
+def test_largest_from_equalities_rejects_extended(chain3, rep_b):
+    # [{1}; ] = alpha is a meet over all paddings, not a bound at one point
+    eqs = to_equalities(rep_b) + (make_equality(chain3, [], "alpha", unbounded=["1"]),)
+    with pytest.raises(ValueError, match=r"\[\{1\}; \] = alpha"):
+        largest_from_equalities(chain3, eqs)
+    with pytest.raises(ValueError, match="extended"):
+        largest_from_equalities(chain3, to_extended_equalities(rep_b))
+
+
+def test_largest_from_equalities_round_trip_big_offset():
+    # Adding BIG to every nonzero count of one coordinate keeps the order
+    # between all vectors, so the round trip must still recover rep.
+    rng = random.Random(52)
+    for _ in range(60):
+        lat = rng.choice([lat for lat in lattice_catalog() if lat.m <= 5])
+        small = random_rep(rng, lat, lat.m)
+        j = rng.randrange(lat.m)
+        rep = Rep(
+            lat,
+            lat.m,
+            [
+                (tuple(c + BIG if i == j and c else c for i, c in enumerate(v)), val)
+                for v, val in small.points
+            ],
+        )
+        back, report = largest_from_equalities(lat, to_equalities(rep))
+        assert equal_fn(back, rep)
+        assert all(ok for _, ok in report)
 
 
 def test_largest_from_equalities_inconsistent(chain3):
@@ -219,7 +254,7 @@ def test_reduced_equalities(chain3, rep_b, rep_b7):
 
 def test_reduced_set_still_determines_largest(chain3, rep_b):
     kept = reduced_equalities(rep_b)
-    pairs = [(encode_args(chain3, e.args), e.rhs) for e in kept]
+    pairs = [(e.vec, e.rhs) for e in kept]
     closed = _monotone_closed_rep(chain3, pairs)
     brute = brute_monotone_closed_rep(chain3, pairs)
     for x in box(5, 3):
@@ -253,8 +288,8 @@ def test_reduced_equalities_match_materialised_closure():
             nontrivial = [
                 e
                 for e in to_equalities(rep)
-                if not (e.args == () and e.rhs == lat.top)
-                and not (len(e.args) == 1 and e.args[0] == e.rhs)
+                if not (sum(e.vec) == 0 and e.rhs == lat.top)
+                and not (sum(e.vec) == 1 and e.vec[e.rhs] == 1)
             ]
             dropping += len(got) < len(nontrivial)
     assert admissible >= 100
@@ -285,6 +320,23 @@ def test_reduced_equalities_large_collapse(chain3, rep_b, k):
         make_equality(chain3, ["1"] * k, "0"),
         make_equality(chain3, ["alpha", "1"], "0"),
     )
+
+
+def test_equalities_at_big_count(chain3, rep_b):
+    # B plus [1^k] = 0 at k = 2^60: every count stays a single integer
+    rep = Rep(chain3, 3, list(rep_b.points) + [((0, 0, BIG), "0")])
+    a = chain3.index
+    assert reduced_equalities(rep) == (
+        CommEquality((0, 0, 2), a("alpha")),
+        CommEquality((0, 0, BIG), a("0")),
+        CommEquality((0, 1, 1), a("0")),
+    )
+    assert CommEquality((0, 0, BIG), a("0")) in to_equalities(rep)
+    ext = to_extended_equalities(rep)
+    assert CommEquality((0, 0, BIG - 1), a("alpha")) in ext
+    assert all(satisfies(rep, e) for e in ext)
+    back, report = largest_from_equalities(chain3, to_equalities(rep))
+    assert equal_fn(back, rep) and all(ok for _, ok in report)
 
 
 def test_examples(div52, rep_g, rep_b, rep_b7):

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from commrep import INF, ExtRep
-from commrep.commutator import make_equality, make_extended_equality, to_equalities
+from commrep.commutator import make_equality, to_equalities
 from commrep.io import (
     ParseError,
     equalities_from_doc,
@@ -81,11 +81,15 @@ def test_points_doc_errors(div52):
         rep_from_doc({"dimension": 2, "lattice": lattice_to_doc(div52), "points": [{}]})
     with pytest.raises(ParseError):
         rep_from_doc({"points": []})
+    for dim in (3.7, "3", "x", True, None):
+        doc = {"dimension": dim, "lattice": lattice_to_doc(div52), "points": []}
+        with pytest.raises(ParseError, match="dimension"):
+            rep_from_doc(doc)
 
 
 def test_equalities_round_trip(chain3, rep_b):
     eqs = to_equalities(rep_b) + (
-        make_extended_equality(chain3, ["1"], [], "alpha"),
+        make_equality(chain3, [], "alpha", unbounded=["1"]),
     )
     doc = equalities_to_doc(chain3, eqs)
     lat, back = equalities_from_doc(json.loads(json.dumps(doc)))
@@ -94,7 +98,7 @@ def test_equalities_round_trip(chain3, rep_b):
 
 
 def test_extended_equality_doc_shape(chain3):
-    eq = make_extended_equality(chain3, ["1"], ["alpha"], "0")
+    eq = make_equality(chain3, ["alpha"], "0", unbounded=["1"])
     doc = equalities_to_doc(chain3, [eq])
     item = doc["equalities"][0]
     assert item["S"] == ["1"]
@@ -113,3 +117,11 @@ def test_equalities_doc_errors(chain3):
         equalities_from_doc({"equalities": [{"args": ["1"]}]}, chain3)
     with pytest.raises(ParseError):
         equalities_from_doc({}, chain3)
+    # strings are not lists: "11" must not read as two arguments 1, 1
+    for doc in (
+        {"equalities": "[]"},
+        {"equalities": [{"args": "11", "rhs": "alpha"}]},
+        {"equalities": [{"S": "1", "args": [], "rhs": "alpha"}]},
+    ):
+        with pytest.raises(ParseError, match="must be a list"):
+            equalities_from_doc(doc, chain3)

@@ -16,7 +16,6 @@ from commrep import (
     UpSet,
     chain,
     divisor_lattice,
-    encode_args,
     equal_fn,
     to_equalities,
 )
@@ -202,20 +201,22 @@ def brute_monotone_closed_rep(lattice: Lattice, pairs) -> Rep:
 
 def brute_reduced_equalities(rep: Rep) -> tuple[CommEquality, ...]:
     """Equality reduction by materialising the closure of the remaining
-    equalities for every trial and comparing whole functions."""
+    equalities for every trial and comparing whole functions, trying the
+    equalities in the order of their spelled-out argument tuples."""
     lat = rep.lattice
 
+    def args(e: CommEquality) -> tuple[int, ...]:
+        return tuple(j for j, c in enumerate(e.vec) for _ in range(c))
+
     def trivial(e: CommEquality) -> bool:
-        if not e.args:
+        if not args(e):
             return e.rhs == lat.top
-        return len(e.args) == 1 and e.args[0] == e.rhs
+        return args(e) == (e.rhs,)
 
     kept = [e for e in to_equalities(rep) if not trivial(e)]
-    for e in sorted(kept, key=lambda q: (len(q.args), q.args, q.rhs)):
+    for e in sorted(kept, key=lambda q: (len(args(q)), args(q), q.rhs)):
         rest = [q for q in kept if q != e]
-        closed = brute_monotone_closed_rep(
-            lat, [(encode_args(lat, q.args), q.rhs) for q in rest]
-        )
+        closed = brute_monotone_closed_rep(lat, [(q.vec, q.rhs) for q in rest])
         if equal_fn(closed, rep):
             kept = rest
     return tuple(kept)
