@@ -146,7 +146,7 @@ def _cmd_learn(args):
         return hidden.eval_ext(vec)
 
     oracle = Oracle(hidden.dim, hidden.lattice, query)
-    learned = learn(oracle, max_rounds=args.max_rounds, max_queries=args.max_queries)
+    learned = learn(oracle, max_queries=args.max_queries)
     doc = cio.rep_to_doc(learned)
     doc["queries"] = counter["queries"]
     _emit(args, doc, _rep_table(learned) + [f"queries: {counter['queries']}"])
@@ -154,19 +154,12 @@ def _cmd_learn(args):
 
 
 def _cmd_to_equalities(args):
+    # to-equalities and to-extended-equalities differ only in the equality set
     rep = _load_rep(args)
-    eqs = reduced_equalities(rep) if args.reduced else to_equalities(rep)
-    _emit(
-        args,
-        cio.equalities_to_doc(rep.lattice, eqs),
-        [e.render(rep.lattice) for e in eqs],
-    )
-    return 0
-
-
-def _cmd_to_extended_equalities(args):
-    rep = _load_rep(args)
-    eqs = to_extended_equalities(rep)
+    if args.command == "to-extended-equalities":
+        eqs = to_extended_equalities(rep)
+    else:
+        eqs = reduced_equalities(rep) if args.reduced else to_equalities(rep)
     _emit(
         args,
         cio.equalities_to_doc(rep.lattice, eqs),
@@ -252,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("learn", help="recover a hidden representation by queries")
     common(p, rep=False)
     p.add_argument("--oracle", required=True, help="hidden representation JSON")
-    p.add_argument("--max-rounds", type=int, default=10_000)
     p.add_argument(
         "--max-queries", type=int, default=10_000, help="budget of distinct oracle queries"
     )
@@ -269,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("to-extended-equalities", help="uniquely determining set")
     common(p)
-    p.set_defaults(func=_cmd_to_extended_equalities)
+    p.set_defaults(func=_cmd_to_equalities)
 
     p = sub.add_parser("from-equalities", help="largest sequence below equalities")
     common(p, rep=False)

@@ -23,15 +23,15 @@ sequences:
 
 Each ``check_hc*`` function decides its property for the whole infinite
 sequence from the finite representation alone; ``admissibility_report``
-bundles them with first-counterexample witnesses.
+bundles them with first-counterexample witnesses.  No check does work that
+grows with the counts; hc8, like ``Rep.complete``, may raise GridSizeError.
 """
 
 from __future__ import annotations
 
-from itertools import product
-
 from .antitone import Rep
-from .vectors import unit, vadd, vsub
+from .upset import UpSet
+from .vectors import unit, vadd, vinf, vsub
 
 __all__ = [
     "admissibility_report",
@@ -94,11 +94,21 @@ def _hc2_witness(rep: Rep):
 
 def _hc8_witness(rep: Rep):
     # Assumes hc2.  For each canonical point a and each b below a, replace
-    # the b-part of the arguments by the single element eval(b).
+    # the b-part of the arguments by the single element j = eval(b).  The
+    # value at a - b + e_j grows with b, so only the largest b <= a with
+    # eval(b) = j matter: each is vinf(a, p) for a complement maximum p of
+    # the union of the sublevels of j's lower covers.  Every pooled
+    # candidate is some b <= a, checked with its own value, so none is wrong.
     _require_encoding(rep)
     lat = rep.lattice
+    tops = set()
+    for j in range(lat.m):
+        below = UpSet.from_points(
+            rep.dim, (g for c in lat.lower_covers(j) for g in rep.sublevel(c).gens)
+        )
+        tops |= below.complement_maxima()
     for a, alpha in rep.canonical().points:
-        for b in product(*(range(c + 1) for c in a)):
+        for b in sorted({vinf(a, p) for p in tops}):
             j = rep.eval(b)
             nested = vadd(vsub(a, b), unit(rep.dim, j))
             v = rep.eval(nested)
@@ -131,10 +141,11 @@ def _hc7_witness(rep: Rep):
     # is the join of i and j.  Two antitone functions agree iff all their
     # sublevels do, and shifting by a unit vector turns a sublevel U into
     # {x : x + e in U}, while the join's sublevel is the intersection.
+    # For i = j both sides are the same set, so those triples are skipped.
     _require_encoding(rep)
     lat = rep.lattice
     for i in range(lat.m):
-        for j in range(i, lat.m):
+        for j in range(i + 1, lat.m):
             k = lat.join(i, j)
             for alpha in range(lat.m):
                 x = _hc7_separator(rep, i, j, k, alpha)

@@ -36,10 +36,10 @@ __all__ = ["Oracle", "RoundLimitError", "learn", "oracle_from_rep"]
 
 
 class RoundLimitError(RuntimeError):
-    """The learning loop exhausted its round or query budget.
+    """The learning loop exhausted its query budget.
 
     Signals an oracle inconsistent with any finitely represented antitone
-    function, or a limit set too low for the target at hand.
+    function, or a budget set too low for the target at hand.
     """
 
 
@@ -94,7 +94,7 @@ def _witness(ask: Callable[[Vec], int], v: Vec) -> Vec:
 
 def learn(
     oracle: Oracle,
-    max_rounds: int = 10_000,
+    *,
     history: list | None = None,
     max_queries: int = 10_000,
 ) -> Rep:
@@ -109,12 +109,12 @@ def learn(
     canonical representation has points.  ``history``, when given,
     receives the (vector, value) pair added in each round.
 
-    Raises :class:`RoundLimitError` after ``max_rounds`` rounds, when the
-    oracle is asked more than ``max_queries`` distinct vectors, or when
-    an answer shows the oracle is not antitone.
+    Raises :class:`RoundLimitError` when the oracle is asked more than
+    ``max_queries`` distinct vectors, or when an answer shows the oracle
+    is not antitone.  The query budget also bounds the rounds: each round
+    queries its witness, and a witness asked again cannot drop below the
+    hypothesis that already holds its answer.
     """
-    if max_rounds < 1:
-        raise ValueError("max_rounds must be at least 1")
     if max_queries < 1:
         raise ValueError("max_queries must be at least 1")
     lat, dim = oracle.lattice, oracle.dim
@@ -130,7 +130,7 @@ def learn(
         return answers[v]
 
     current = Rep(lat, dim, ())
-    for _ in range(max_rounds):
+    while True:
         pinned = current.complete()
         mismatches = [v for v, val in pinned.points if ask(v) != val]
         if not mismatches:
@@ -146,6 +146,3 @@ def learn(
         if history is not None:
             history.append((w, got))
         current = Rep(lat, dim, current.points + ((w, got),))
-    raise RoundLimitError(
-        f"no consistent function found within {max_rounds} rounds"
-    )

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -11,14 +12,40 @@ from commrep import (
     check_hc7,
     check_hc8,
     equal_fn,
+    example,
     is_admissible,
     join_fn,
     unit,
     vadd,
+    vleq,
+    vsub,
 )
-from commrep.hc import _hc7_separator
+from commrep.hc import _hc7_separator, _hc8_witness
 
-from util import bool4, brute_hc7_holds, random_ext_vec, random_rep, small_lattices
+from util import (
+    bool4,
+    brute_hc7_holds,
+    brute_hc8,
+    random_ext_vec,
+    random_rep,
+    small_lattices,
+)
+
+BIG = 2**60
+
+
+def assert_hc8_violation(rep, w):
+    """w names a b = inner below the canonical point a = point whose value,
+    nested back in place of b, does not stay below F(a)."""
+    lat = rep.lattice
+    a, b = w["point"], w["inner"]
+    assert (a, lat.index(w["bound"])) in rep.canonical().points
+    assert vleq(b, a)
+    j = rep.eval(b)
+    assert lat.name(j) == w["inner_value"]
+    v = rep.eval(vadd(vsub(a, b), unit(rep.dim, j)))
+    assert lat.name(v) == w["value"]
+    assert not lat.leq(v, rep.eval(a))
 
 
 def test_hc1_examples(rep_b, chain3):
@@ -47,6 +74,76 @@ def test_hc8_requires_hc2(chain3):
     bad = Rep(chain3, 3, [(unit(3, 2), "0")])
     with pytest.raises(ValueError, match="hc2"):
         check_hc8(bad)
+
+
+def test_hc8_counterexample_at_any_count():
+    # k or more 0s give 0, anything else 1: nesting the value 1 of k - 1
+    # 0s leaves the arguments 0 and 1, whose value 1 is not below 0
+    two = chain(2, ["0", "1"])
+    for k in (2, 7, 10**6, BIG):
+        rep = Rep(two, 2, [((k, 0), "0")])
+        w = _hc8_witness(rep)
+        assert w == {
+            "property": "hc8",
+            "point": (k, 0),
+            "inner": (k - 1, 0),
+            "inner_value": "1",
+            "value": "1",
+            "bound": "0",
+        }
+        assert not check_hc8(rep)
+        assert_hc8_violation(rep, w)
+    assert brute_hc8(Rep(two, 2, [((7, 0), "0")]))["inner"] == (1, 0)
+
+
+def test_hc8_counterexample_only_at_the_whole_point():
+    # any two arguments give 0, one gives 1: nesting a whole canonical
+    # point leaves the single argument 0, whose value 1 is not below 0,
+    # and every smaller b nests harmlessly
+    two = chain(2, ["0", "1"])
+    rep = Rep(two, 2, [((2, 0), "0"), ((1, 1), "0"), ((0, 2), "0")])
+    assert check_hc2(rep)
+    assert _hc8_witness(rep) == {
+        "property": "hc8",
+        "point": (0, 2),
+        "inner": (0, 2),
+        "inner_value": "0",
+        "value": "1",
+        "bound": "0",
+    }
+    assert brute_hc8(rep)["inner"] == (0, 2)
+
+
+def test_hc8_matches_brute_force():
+    rng = random.Random(0)
+    lattices = small_lattices(max_size=5)
+    passing = failing = 0
+    while passing < 1000:
+        lat = rng.choice(lattices)
+        rep = random_rep(rng, lat, lat.m, max_coord=3, max_points=5)
+        if not check_hc2(rep):
+            continue
+        passing += 1
+        w, brute = _hc8_witness(rep), brute_hc8(rep)
+        assert (w is None) == (brute is None)
+        assert check_hc8(rep) == (w is None)
+        if w is not None:
+            failing += 1
+            assert_hc8_violation(rep, w)
+            assert_hc8_violation(rep, brute)
+    assert failing >= 10, failing
+
+
+@pytest.mark.parametrize("k", [10, 10**6, BIG])
+def test_hc8_cost_does_not_grow_with_the_counts(k):
+    # B plus (0,0,k) -> 0: the box below the point (0,0,k) has k + 1 points
+    lat, rep_b = example("B")
+    for decide in (admissibility_report, is_admissible, check_hc8):
+        rep = Rep(lat, 3, list(rep_b.points) + [((0, 0, k), "0")])
+        start = time.perf_counter()
+        out = decide(rep)
+        assert time.perf_counter() - start < 1.0
+        assert (out["admissible"] if isinstance(out, dict) else out) is True
 
 
 def test_hc8_full_overlap_case(rep_b, chain3):

@@ -61,13 +61,6 @@ def test_learned_points_lie_on_target(rep_g, div52):
         assert rep_g.eval(vec) == val  # soundness: G stays inside the graph
 
 
-def test_round_limit(rep_g):
-    with pytest.raises(RoundLimitError, match="rounds"):
-        learn(oracle_from_rep(rep_g), max_rounds=1)
-    with pytest.raises(ValueError):
-        learn(oracle_from_rep(rep_g), max_rounds=0)
-
-
 def test_learn_accepts_name_answers(chain3, rep_b):
     by_name = Oracle(3, chain3, lambda v: chain3.name(rep_b.eval_ext(v)))
     assert equal_fn(learn(by_name), rep_b)
@@ -119,7 +112,7 @@ def test_inconsistent_oracle_exhausts_the_query_budget():
     oracle = Oracle(2, two, lambda v: two.bottom if INF in v else two.top)
     start = time.perf_counter()
     with pytest.raises(RoundLimitError, match="queries"):
-        learn(oracle, max_rounds=3)
+        learn(oracle)
     assert time.perf_counter() - start < 1.0
     with pytest.raises(RoundLimitError, match="5 queries"):
         learn(oracle_from_rep(Rep(two, 1, [((3,), "0")])), max_queries=5)

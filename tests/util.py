@@ -169,6 +169,27 @@ def brute_hc7_holds(rep: Rep) -> bool:
     return True
 
 
+def brute_hc8(rep: Rep):
+    """The first hc8 counterexample, scanning every b in the box below each
+    canonical point a and nesting eval(b) back in place of b, or None."""
+    lat = rep.lattice
+    for a, alpha in rep.canonical().points:
+        for b in product(*(range(c + 1) for c in a)):
+            j = rep.eval(b)
+            nested = vadd(vsub(a, b), unit(rep.dim, j))
+            v = rep.eval(nested)
+            if not lat.leq(v, alpha):
+                return {
+                    "property": "hc8",
+                    "point": a,
+                    "inner": b,
+                    "inner_value": lat.name(j),
+                    "value": lat.name(v),
+                    "bound": lat.name(alpha),
+                }
+    return None
+
+
 def graph_sample(rep: Rep, bound: int | None = None):
     """The function's graph restricted to a box, as a dict."""
     b = coord_bound(rep) if bound is None else bound
