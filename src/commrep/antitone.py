@@ -142,7 +142,10 @@ class Rep(_PointSet):
         # of prescribed vectors whose values meet to v.  Grouping subset
         # suprema by their meet value explores all subsets without the
         # exponential enumeration; dominated suprema are dropped as they can
-        # never produce new minimal level-set elements.
+        # never produce new minimal level-set elements.  A value the new
+        # point does not lower is skipped, since its suprema lie above its
+        # own antichain; a new bucket is merged into the old antichain,
+        # which is minimal already, so old pairs are never compared again.
         if self._profile is None:
             lat = self.lattice
             prof: dict[int, set[Vec]] = {lat.top: {zero(self.dim)}}
@@ -150,11 +153,19 @@ class Rep(_PointSet):
                 updates: dict[int, set[Vec]] = {}
                 for mval, anti in prof.items():
                     nv = lat.meet(mval, val)
-                    bucket = updates.setdefault(nv, set())
-                    for s in anti:
-                        bucket.add(vsup(s, vec))
+                    if nv != mval:
+                        bucket = updates.setdefault(nv, set())
+                        bucket.update(vsup(s, vec) for s in anti)
                 for nv, vecs in updates.items():
-                    prof[nv] = min_elements(prof.get(nv, set()) | vecs)
+                    old = prof.get(nv, set())
+                    new = {
+                        v
+                        for v in min_elements(vecs)
+                        if not any(vleq(o, v) for o in old)
+                    }
+                    prof[nv] = new | {
+                        o for o in old if not any(vleq(v, o) for v in new)
+                    }
             self._profile = {v: tuple(sorted(a)) for v, a in prof.items()}
         return self._profile
 

@@ -75,11 +75,25 @@ def encode_args(lattice: Lattice, args, unbounded=()) -> Vec:
     return tuple(INF if j in s else counts.get(j, 0) for j in range(lattice.m))
 
 
+# The most arguments one equality is spelled out with; a larger count
+# would fill memory one list entry at a time, so it is refused instead.
+MAX_SPELLED_ARGS = 10**6
+
+
 def args_from_vector(lattice: Lattice, vec: Vec) -> tuple[int, ...]:
-    """Spell the finite counts of a vector out as a sorted argument tuple."""
+    """Spell the finite counts of a vector out as a sorted argument tuple.
+
+    Raises ValueError when that takes more than ``MAX_SPELLED_ARGS``
+    arguments.
+    """
     out = []
     for j, c in enumerate(vec):
         if c != INF:
+            if len(out) + c > MAX_SPELLED_ARGS:
+                raise ValueError(
+                    f"cannot spell out {c} occurrences of {lattice.name(j)}: "
+                    f"an equality is written with at most {MAX_SPELLED_ARGS} arguments"
+                )
             out.extend([j] * c)
     return tuple(out)
 

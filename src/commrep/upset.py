@@ -9,6 +9,7 @@ two equal sets therefore compare equal structurally.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Set
 
@@ -26,14 +27,31 @@ class GridSizeError(ValueError):
 
 
 def min_elements(points: Iterable[Vec]) -> set[Vec]:
-    """Minimal elements of a finite set under the componentwise order."""
-    pts = set(points)
-    return {p for p in pts if not any(q != p and vleq(q, p) for q in pts)}
+    """Minimal elements of a finite set under the componentwise order.
+
+    After a lexicographic sort every point's dominators precede it, so one
+    pass that keeps a point unless an already kept point lies below it
+    finds the minima (Kung, Luccio & Preparata 1975): O(n log n + n k)
+    comparisons for n points and k minima.
+    """
+    return _extremes(points, operator.le, reverse=False)
 
 
 def max_elements(points: Iterable[Vec]) -> set[Vec]:
-    pts = set(points)
-    return {p for p in pts if not any(q != p and vleq(p, q) for q in pts)}
+    """Maximal elements; the mirror image of :func:`min_elements`."""
+    return _extremes(points, operator.ge, reverse=True)
+
+
+def _extremes(points: Iterable[Vec], dominates, reverse: bool) -> set[Vec]:
+    pts = sorted(set(points), reverse=reverse)
+    dims = {len(p) for p in pts}
+    if len(dims) > 1:
+        raise ValueError(f"dimension mismatch: {min(dims)} vs {max(dims)}")
+    kept: list[Vec] = []
+    for p in pts:
+        if not any(all(map(dominates, q, p)) for q in kept):
+            kept.append(p)
+    return set(kept)
 
 
 @dataclass(frozen=True)

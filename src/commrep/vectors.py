@@ -10,6 +10,7 @@ finite ``a``.
 from __future__ import annotations
 
 import math
+import operator
 from numbers import Integral
 
 __all__ = [
@@ -72,7 +73,7 @@ def _samedim(a: Vec, b: Vec) -> None:
 def vleq(a: Vec, b: Vec) -> bool:
     """Componentwise order."""
     _samedim(a, b)
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(operator.le, a, b))
 
 
 def vsup(a: Vec, b: Vec) -> Vec:

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -19,9 +20,12 @@ from commrep import (
 from util import (
     box,
     brute_eval_ext,
+    brute_meet_profile,
     brute_min_eq,
     brute_min_leq,
     coord_bound,
+    hyperplane,
+    lattice_catalog,
     random_ext_vec,
     random_rep,
     small_lattices,
@@ -129,6 +133,22 @@ def test_canonical_matches_box_scan_random():
                 assert got == expected
 
 
+def test_meet_profile_matches_pairwise_fold():
+    rng = random.Random(8)
+    lattices = lattice_catalog()
+    wide = 0
+    for i in range(360):
+        lat = lattices[i % len(lattices)]
+        d = rng.randrange(1, 4)
+        rep = random_rep(rng, lat, d, max_coord=4, max_points=10)
+        if i % 5 == 0:
+            rep = Rep(lat, d, [(tuple(c + 2**60 for c in v), e) for v, e in rep.points])
+        prof = rep._meet_profile()
+        assert prof == brute_meet_profile(rep)
+        wide += len(prof) >= 3 and max(map(len, prof.values())) >= 2
+    assert wide >= 60
+
+
 # -- complete / check_complete --------------------------------------------------
 
 
@@ -156,6 +176,16 @@ def test_complete_constant_top():
     assert ((INF,), lat.index("1")) in comp.points
     assert check_complete(empty, comp)
     assert check_complete(empty, ExtRep(lat, 1, [((INF,), "1")]))
+
+
+def test_complete_hyperplane_in_four_dimensions():
+    # {x in N^4 : sum x = 8} -> 0: 165 points valued 0 and 121 valued 1
+    rep = Rep(chain(2), 4, [(x, 0) for x in hyperplane(4, 8)])
+    start = time.perf_counter()
+    comp = rep.complete()
+    assert check_complete(rep, comp)
+    assert time.perf_counter() - start < 2.0
+    assert len(comp.points) == 286
 
 
 def test_complete_b_encoding(rep_b, known_h):

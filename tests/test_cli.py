@@ -181,6 +181,22 @@ def test_to_equalities(capsys, tmp_path, monkeypatch):
     assert {"args": ["1", "1"], "rhs": "alpha"} in ext  # no "S" when nothing is unbounded
 
 
+def test_equalities_at_a_huge_count_fail_with_a_typed_error(capsys, tmp_path, rep_b, chain3):
+    from commrep import Rep
+
+    big = 2**60
+    rep = Rep(chain3, 3, list(rep_b.points) + [((0, 0, big), "0")])
+    rep_path = write_doc(tmp_path, "bk.json", rep_to_doc(rep))
+    for command in (["to-equalities"], ["to-equalities", "--reduced"], ["to-extended-equalities"]):
+        for fmt in ("json", "table"):
+            code, out, err = run(capsys, command + ["--rep", rep_path, "--format", fmt])
+            assert code == 1 and out == ""
+            assert err.startswith("error: ")
+            # the extended set states the value just below the collapse too
+            assert any(f"{c} occurrences of 1" in err for c in (big, big - 1))
+            assert "Traceback" not in err
+
+
 def test_from_equalities(capsys, tmp_path, chain3, monkeypatch):
     doc = {
         "lattice": lattice_to_doc(chain3),

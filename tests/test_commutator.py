@@ -21,6 +21,7 @@ from commrep import (
 )
 from commrep.commutator import (
     _monotone_closed_rep,
+    MAX_SPELLED_ARGS,
     args_from_vector,
     make_equality,
 )
@@ -52,6 +53,15 @@ def test_args_round_trip(chain3):
     vec = (1, 0, 3)
     assert encode_args(chain3, args_from_vector(chain3, vec)) == vec
     assert args_from_vector(chain3, (INF, 2, 1)) == (1, 1, 2)  # INF is skipped
+
+
+def test_args_from_vector_refuses_more_than_the_spelled_limit(chain3):
+    limit = MAX_SPELLED_ARGS
+    assert args_from_vector(chain3, (INF, 0, limit)) == (2,) * limit
+    with pytest.raises(ValueError, match=f"{limit} occurrences of 1"):
+        args_from_vector(chain3, (0, 1, limit))
+    with pytest.raises(ValueError, match=f"{2**60} occurrences of alpha"):
+        args_from_vector(chain3, (0, 2**60, 0))
 
 
 def test_eval_commutator_examples(chain3, rep_b, rep_b7):

@@ -13,7 +13,7 @@ from commrep import (
     learn,
     oracle_from_rep,
 )
-from util import bool4, random_rep, small_lattices
+from util import bool4, hyperplane, random_rep, small_lattices
 
 
 def test_oracle_from_rep_examples(div52, rep_g):
@@ -103,6 +103,16 @@ def test_learn_far_points(point, budget):
     oracle = Oracle(len(point), two, lambda v: (calls.append(v), target.eval_ext(v))[1])
     assert learn(oracle) == target
     assert len(calls) <= budget
+
+
+def test_learn_hyperplane_target():
+    # one round per canonical point, each completing a wider hypothesis
+    two = chain(2, ["0", "1"])
+    target = Rep(two, 3, [(x, "0") for x in hyperplane(3, 10)])
+    start = time.perf_counter()
+    learned = learn(oracle_from_rep(target))
+    assert time.perf_counter() - start < 2.5
+    assert learned == target and len(learned.points) == 66
 
 
 def test_inconsistent_oracle_exhausts_the_query_budget():

@@ -1,7 +1,8 @@
 """A smoke-sized run of the benchmark in perfbench/, so that it cannot rot.
 
 The seed-1 ``random``, ``B`` and ``big-coordinate`` jobs of each workload,
-and the far-point ``learn`` jobs in four and five dimensions, run through
+the hyperplane ``complete`` jobs in three and four dimensions, and the
+far-point ``learn`` jobs in four and five dimensions, run through
 the benchmark's own runners under its tracer, and each output goes through
 the benchmark's own check.  Installing the tracer fails if a library name
 it wraps is gone; the full timed run stays out of the tests
@@ -23,7 +24,9 @@ workloads = importlib.import_module("workloads")
 Tracer = importlib.import_module("tracing").Tracer
 LIB, _ = run.load_commrep(ROOT)
 
-SMOKE_FAMILIES = ("random", "B", "big-coordinate", "far-d4", "far-d5")
+SMOKE_FAMILIES = (
+    "random", "B", "big-coordinate", "far-d4", "far-d5", "hyperplane-d3", "hyperplane-d4"
+)
 
 
 def library_attributes():

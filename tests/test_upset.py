@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from commrep import INF, UpSet
 from commrep.upset import GridSizeError, max_elements, min_elements
 
-from util import brute_complement_maxima
+from util import brute_complement_maxima, brute_max_elements, brute_min_elements
 
 dim = st.shared(st.integers(min_value=1, max_value=3), key="d")
 point = dim.flatmap(lambda d: st.tuples(*[st.integers(0, 5)] * d))
@@ -140,6 +140,54 @@ def test_min_max_elements():
     assert max_elements(pts) == {(1, 1), (0, 2), (2, 0)}
 
 
+def random_point_set(rng, d):
+    """Points with small coordinates, so that many compare; some repeated,
+    some with INF coordinates, and on some sets every finite coordinate
+    offset by 2^60."""
+    n = rng.choice([0, 1, rng.randrange(2, 12), rng.randrange(12, 60)])
+    offset = 2**60 if rng.random() < 0.3 else 0
+    inf_rate = rng.choice([0.0, 0.0, 0.15])
+    pts = []
+    for _ in range(n):
+        if pts and rng.random() < 0.2:
+            pts.append(rng.choice(pts))
+            continue
+        pts.append(
+            tuple(
+                INF if rng.random() < inf_rate else offset + rng.randrange(5)
+                for _ in range(d)
+            )
+        )
+    return pts
+
+
+def test_min_max_elements_match_pairwise_scan():
+    rng = random.Random(7)
+    sizes = set()
+    for _ in range(600):
+        d = rng.randint(1, 5)
+        pts = random_point_set(rng, d)
+        mins, maxs = min_elements(pts), max_elements(iter(pts))
+        assert mins == brute_min_elements(pts)
+        assert maxs == brute_max_elements(pts)
+        sizes.add((len(set(pts)) > len(mins) > 1, len(set(pts)) > len(maxs) > 1))
+    assert (True, True) in sizes  # antichains strictly inside the input occur
+
+
+def test_min_max_elements_edge_cases():
+    assert min_elements([]) == max_elements([]) == set()
+    assert min_elements([(3, INF)]) == max_elements([(3, INF)]) == {(3, INF)}
+    big = 2**60
+    pts = [(big, INF), (big + 1, 0), (big, 0), (big, 0)]
+    assert min_elements(pts) == {(big, 0)}
+    assert max_elements(pts) == {(big, INF), (big + 1, 0)}
+    for mixed in ([(1, 2), (1, 2, 3)], [(0, 0), (0, 0, 0)], [(5,), (1, 1), (1, 1)]):
+        with pytest.raises(ValueError, match="dimension"):
+            min_elements(mixed)
+        with pytest.raises(ValueError, match="dimension"):
+            max_elements(mixed)
+
+
 @given(upsets, upsets)
 @settings(max_examples=60)
 def test_member_agrees_with_box_scan(a, b):
@@ -164,6 +212,6 @@ def test_distributive_lattice_laws(a, b, c):
 
 @given(upsets)
 def test_gens_are_sorted_minimal(u):
-    assert u.gens == tuple(sorted(min_elements(u.gens)))
+    assert u.gens == tuple(sorted(brute_min_elements(u.gens)))
     rebuilt = UpSet.from_points(u.dim, u.gens)
     assert rebuilt == u

@@ -19,8 +19,7 @@ from commrep import (
     equal_fn,
     to_equalities,
 )
-from commrep.upset import min_elements
-from commrep.vectors import unit, vadd, vsub
+from commrep.vectors import unit, vadd, vleq, vsub, vsup, zero
 
 
 def bool4() -> Lattice:
@@ -98,6 +97,11 @@ def coord_bound(rep: Rep) -> int:
     return top + 2
 
 
+def hyperplane(dim: int, total: int) -> list:
+    """The antichain {x in N^dim : sum x = total}."""
+    return [x for x in box(total, dim) if sum(x) == total]
+
+
 def box(bound: int, dim: int):
     return product(range(bound + 1), repeat=dim)
 
@@ -112,17 +116,46 @@ def brute_eval_ext(rep: Rep, x) -> int:
     return rep.lattice.big_meet(rep.eval(v) for v in product(*ranges))
 
 
+def brute_min_elements(points) -> set:
+    """Minimal elements by comparing every pair of points."""
+    pts = set(points)
+    return {p for p in pts if not any(q != p and vleq(q, p) for q in pts)}
+
+
+def brute_max_elements(points) -> set:
+    pts = set(points)
+    return {p for p in pts if not any(q != p and vleq(p, q) for q in pts)}
+
+
+def brute_meet_profile(rep: Rep) -> dict:
+    """The meet profile folded point by point, re-minimising every bucket
+    together with its whole old antichain and keeping the buckets a point
+    does not lower."""
+    lat = rep.lattice
+    prof = {lat.top: {zero(rep.dim)}}
+    for vec, val in rep.points:
+        updates = {}
+        for mval, anti in prof.items():
+            nv = lat.meet(mval, val)
+            bucket = updates.setdefault(nv, set())
+            for s in anti:
+                bucket.add(vsup(s, vec))
+        for nv, vecs in updates.items():
+            prof[nv] = brute_min_elements(prof.get(nv, set()) | vecs)
+    return {v: tuple(sorted(a)) for v, a in prof.items()}
+
+
 def brute_min_leq(rep: Rep, alpha: int, bound: int | None = None) -> set:
     """Minimal box vectors whose value drops below alpha, by direct scan."""
     b = coord_bound(rep) if bound is None else bound
     hits = [v for v in box(b, rep.dim) if rep.lattice.leq(rep.eval(v), alpha)]
-    return min_elements(hits)
+    return brute_min_elements(hits)
 
 
 def brute_min_eq(rep: Rep, alpha: int, bound: int | None = None) -> set:
     b = coord_bound(rep) if bound is None else bound
     hits = [v for v in box(b, rep.dim) if rep.eval(v) == alpha]
-    return min_elements(hits)
+    return brute_min_elements(hits)
 
 
 def brute_complement_maxima(upset: UpSet, bound: int | None = None) -> set:
