@@ -3,8 +3,8 @@
 Upward closed subsets of N^d are stored as their minimal generators,
 a finite antichain.  Union, intersection, equality and membership reduce
 to antichain manipulation, and the maximal points outside such a set
-(taken in the INF-extended space) are computed from a small candidate
-grid.
+(taken in the INF-extended space) are built by adding the generators one
+at a time.
 """
 
 from commrep import INF, UpSet
@@ -22,8 +22,9 @@ print("\nrectangle corner: gens of (2,0)-up intersected with (0,3)-up:", (a & b)
 print("union gens:", (a | b).gens)
 
 # The complement of an upward closed set is downward closed; its maximal
-# elements certify non-membership and live on a grid built from the
-# generator coordinates minus one, padded with INF.
+# elements certify non-membership.  Each coordinate is INF or some
+# generator coordinate minus one: adding a generator g splits every maximum
+# p above g into the points p with one coordinate i lowered to g_i - 1.
 print("\nmaximal points outside U:", sorted(u.complement_maxima(), key=str))
 
 print("maximal points outside the empty set:", UpSet.from_points(2, []).complement_maxima())

@@ -39,7 +39,7 @@ from .hc import (
 )
 from .lattice import Lattice, LatticeError, chain, divisor_lattice
 from .learn import Oracle, RoundLimitError, learn, oracle_from_rep
-from .upset import GridSizeError, UpSet, max_elements, min_elements
+from .upset import UpSet, max_elements, min_elements
 from .vectors import (
     INF,
     as_ext_vec,
@@ -60,7 +60,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CommEquality",
     "ExtRep",
-    "GridSizeError",
     "INF",
     "Lattice",
     "LatticeError",

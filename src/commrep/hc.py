@@ -24,7 +24,7 @@ sequences:
 Each ``check_hc*`` function decides its property for the whole infinite
 sequence from the finite representation alone; ``admissibility_report``
 bundles them with first-counterexample witnesses.  No check does work that
-grows with the counts; hc8, like ``Rep.complete``, may raise GridSizeError.
+grows with the counts.
 """
 
 from __future__ import annotations

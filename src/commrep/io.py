@@ -57,8 +57,8 @@ def vec_from_json(data) -> tuple:
 def lattice_to_doc(lat: Lattice) -> dict:
     return {
         "elements": list(lat.names),
-        "meet": lat.meet_table.tolist(),
-        "join": lat.join_table.tolist(),
+        "meet": [list(row) for row in lat.meet_table],
+        "join": [list(row) for row in lat.join_table],
     }
 
 

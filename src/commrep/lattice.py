@@ -17,31 +17,48 @@ Conventions:
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sized
 from functools import reduce
+from itertools import product
 from numbers import Integral
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import Sequence
 
 __all__ = ["Lattice", "LatticeError", "chain", "divisor_lattice"]
+
+Table = tuple[tuple[int, ...], ...]
 
 
 class LatticeError(ValueError):
     """An axiom violation in the supplied tables; the message carries a witness."""
 
 
-def _as_table(table, m: int, label: str) -> np.ndarray:
-    arr = np.asarray(table)
-    if arr.shape != (m, m):
-        raise LatticeError(f"{label} table must be {m}x{m}, got shape {arr.shape}")
-    if not np.issubdtype(arr.dtype, np.integer):
+def _rows(table, m: int, what: str) -> list[list]:
+    """The rows of an m x m table, or a LatticeError naming its shape."""
+    rows = list(table) if isinstance(table, Iterable) else None
+    lengths = [len(r) if isinstance(r, Sized) else None for r in rows or ()]
+    if rows is not None and lengths == [m] * m:
+        return [list(r) for r in rows]
+    if rows is None:
+        got = "shape ()"
+    elif not rows or None in lengths:
+        got = f"shape ({len(rows)},)"
+    elif len(set(lengths)) == 1:
+        got = f"shape ({len(rows)}, {lengths[0]})"
+    else:
+        got = f"ragged rows of lengths {lengths}"
+    raise LatticeError(f"{what} must be {m}x{m}, got {got}")
+
+
+def _as_table(table, m: int, label: str) -> Table:
+    rows = _rows(table, m, f"{label} table")
+    if not all(isinstance(x, Integral) and not isinstance(x, bool) for r in rows for x in r):
         raise LatticeError(f"{label} table must contain element indices")
-    if arr.min(initial=0) < 0 or arr.max(initial=0) >= m:
-        bad = np.argwhere((arr < 0) | (arr >= m))[0]
-        raise LatticeError(
-            f"{label} table entry at {tuple(bad)} is out of range 0..{m - 1}"
-        )
-    return arr.astype(np.intp)
+    for a, b in product(range(m), range(m)):
+        if not 0 <= rows[a][b] < m:
+            raise LatticeError(
+                f"{label} table entry at {(a, b)} is out of range 0..{m - 1}"
+            )
+    return tuple(tuple(int(x) for x in r) for r in rows)
 
 
 class Lattice:
@@ -67,21 +84,19 @@ class Lattice:
         self._index = {n: i for i, n in enumerate(names)}
         self._validate()
 
-        leq = self._meet == np.arange(m)[:, None]  # leq[a, b] iff a <= b
-        lt = leq & ~np.eye(m, dtype=bool)
-        self._leq = leq
-        self._covers = lt & ~(lt @ lt)  # covers[a, b] iff b covers a
-
-        tops = np.flatnonzero(leq.all(axis=0))
-        bottoms = np.flatnonzero(leq.all(axis=1))
+        elems = range(m)
+        self._leq = tuple(tuple(self._meet[a][b] == a for b in elems) for a in elems)
+        below = [[b for b in elems if b != a and self._leq[b][a]] for a in elems]
+        self._lower_covers = tuple(
+            tuple(b for b in bs if not any(self._leq[b][c] for c in bs if c != b))
+            for bs in below
+        )
+        tops = [b for b in elems if all(self._leq[a][b] for a in elems)]
+        bottoms = [a for a in elems if all(self._leq[a][b] for b in elems)]
         if len(tops) != 1 or len(bottoms) != 1:
             raise LatticeError("lattice must have a unique top and bottom")
-        self.top = int(tops[0])
-        self.bottom = int(bottoms[0])
-
-        for arr in (self._meet, self._join, self._leq, self._covers):
-            arr.setflags(write=False)
-        self._hash = hash((names, self._meet.tobytes(), self._join.tobytes()))
+        self.top, self.bottom = tops[0], bottoms[0]
+        self._hash = hash((names, self._meet, self._join))
 
     # -- construction -----------------------------------------------------
 
@@ -94,105 +109,85 @@ class Lattice:
         """
         names = tuple(str(n) for n in names)
         m = len(names)
-        leq = np.asarray(leq_matrix, dtype=bool)
-        if leq.shape != (m, m):
-            raise LatticeError(f"leq matrix must be {m}x{m}, got shape {leq.shape}")
-        meet = np.zeros((m, m), dtype=np.intp)
-        join = np.zeros((m, m), dtype=np.intp)
-        for a in range(m):
-            for b in range(m):
-                meet[a, b] = cls._bound(leq, names, a, b, lower=True)
-                join[a, b] = cls._bound(leq, names, a, b, lower=False)
+        leq = [[bool(x) for x in row] for row in _rows(leq_matrix, m, "leq matrix")]
+        geq = [list(col) for col in zip(*leq)]
+        pairs = list(product(range(m), range(m)))
+        meet = [[0] * m for _ in range(m)]
+        join = [[0] * m for _ in range(m)]
+        for a, b in pairs:
+            meet[a][b] = cls._least_upper(geq, names, a, b, "greatest lower")
+            join[a][b] = cls._least_upper(leq, names, a, b, "least upper")
         lat = cls(names, meet, join)
-        if not np.array_equal(lat.leq_matrix, leq):
-            bad = np.argwhere(lat.leq_matrix != leq)[0]
-            a, b = (int(x) for x in bad)
-            raise LatticeError(
-                f"relation is not a lattice order: derived order disagrees "
-                f"at ({names[a]}, {names[b]})"
-            )
+        lat._check(
+            "relation is not a lattice order: derived order disagrees at ({}, {})",
+            ((a, b) for a, b in pairs if lat._leq[a][b] != leq[a][b]),
+        )
         return lat
 
     @staticmethod
-    def _bound(leq: np.ndarray, names, a: int, b: int, lower: bool) -> int:
-        if lower:
-            cand = np.flatnonzero(leq[:, a] & leq[:, b])
-            hits = [int(c) for c in cand if leq[cand, c].all()]
-        else:
-            cand = np.flatnonzero(leq[a, :] & leq[b, :])
-            hits = [int(c) for c in cand if leq[c, cand].all()]
+    def _least_upper(order, names, a: int, b: int, kind: str) -> int:
+        cand = [c for c, (x, y) in enumerate(zip(order[a], order[b])) if x and y]
+        hits = [c for c in cand if all(order[c][x] for x in cand)]
         if len(hits) != 1:
-            kind = "greatest lower" if lower else "least upper"
-            raise LatticeError(
-                f"order has no {kind} bound for ({names[a]}, {names[b]})"
-            )
+            raise LatticeError(f"order has no {kind} bound for ({names[a]}, {names[b]})")
         return hits[0]
 
     # -- validation --------------------------------------------------------
 
     def _validate(self) -> None:
-        m = self.m
-        idx = np.arange(m)
-        for label, t in (("meet", self._meet), ("join", self._join)):
-            bad = np.argwhere(t != t.T)
-            if len(bad):
-                a, b = (int(x) for x in bad[0])
-                raise LatticeError(
-                    f"{label} is not commutative at ({self._fmt(a)}, {self._fmt(b)})"
-                )
-            bad = np.flatnonzero(t[idx, idx] != idx)
-            if len(bad):
-                a = int(bad[0])
-                raise LatticeError(f"{label} is not idempotent at {self._fmt(a)}")
-            left = t[t, :]  # left[a, b, c] = t[t[a, b], c]
-            right = t[:, t]  # right[a, b, c] = t[a, t[b, c]]
-            bad = np.argwhere(left != right)
-            if len(bad):
-                a, b, c = (int(x) for x in bad[0])
-                raise LatticeError(
-                    f"{label} is not associative at "
-                    f"({self._fmt(a)}, {self._fmt(b)}, {self._fmt(c)})"
-                )
-        rows = idx[:, None]
-        bad = np.argwhere(self._meet[rows, self._join] != rows)
-        if len(bad):
-            a, b = (int(x) for x in bad[0])
-            raise LatticeError(
-                f"absorption a∧(a∨b)=a fails at ({self._fmt(a)}, {self._fmt(b)})"
+        """Check the lattice axioms; each message names the first failing cell."""
+        elems = range(self.m)
+        pairs = list(product(elems, elems))
+        meet, join = self._meet, self._join
+        for label, t in (("meet", meet), ("join", join)):
+            self._check(
+                f"{label} is not commutative at ({{}}, {{}})",
+                ((a, b) for a, b in pairs if t[a][b] != t[b][a]),
             )
-        bad = np.argwhere(self._join[rows, self._meet] != rows)
-        if len(bad):
-            a, b = (int(x) for x in bad[0])
-            raise LatticeError(
-                f"absorption a∨(a∧b)=a fails at ({self._fmt(a)}, {self._fmt(b)})"
+            self._check(
+                f"{label} is not idempotent at {{}}", ((a,) for a in elems if t[a][a] != a)
             )
-        meets_a = self._meet == idx[:, None]
-        joins_b = self._join == idx[None, :]
-        bad = np.argwhere(meets_a != joins_b)
-        if len(bad):
-            a, b = (int(x) for x in bad[0])
-            raise LatticeError(
-                f"order is inconsistent at ({self._fmt(a)}, {self._fmt(b)}): "
-                "a∧b=a must coincide with a∨b=b"
+            self._check(
+                f"{label} is not associative at ({{}}, {{}}, {{}})",
+                (
+                    (a, b, c)
+                    for a, b in pairs
+                    for c in elems
+                    if t[t[a][b]][c] != t[a][t[b][c]]
+                ),
             )
+        self._check(
+            "absorption a∧(a∨b)=a fails at ({}, {})",
+            ((a, b) for a, b in pairs if meet[a][join[a][b]] != a),
+        )
+        self._check(
+            "absorption a∨(a∧b)=a fails at ({}, {})",
+            ((a, b) for a, b in pairs if join[a][meet[a][b]] != a),
+        )
+        self._check(
+            "order is inconsistent at ({}, {}): a∧b=a must coincide with a∨b=b",
+            ((a, b) for a, b in pairs if (meet[a][b] == a) != (join[a][b] == b)),
+        )
 
-    def _fmt(self, i: int) -> str:
-        return self.names[i]
+    def _check(self, message: str, witnesses: Iterable[tuple[int, ...]]) -> None:
+        bad = next(iter(witnesses), None)
+        if bad is not None:
+            raise LatticeError(message.format(*(self.names[i] for i in bad)))
 
     # -- queries -----------------------------------------------------------
 
     def meet(self, a: int, b: int) -> int:
-        return int(self._meet[a, b])
+        return self._meet[a][b]
 
     def join(self, a: int, b: int) -> int:
-        return int(self._join[a, b])
+        return self._join[a][b]
 
     def leq(self, a: int, b: int) -> bool:
-        return bool(self._leq[a, b])
+        return self._leq[a][b]
 
     def lower_covers(self, a: int) -> tuple[int, ...]:
         """All b with b < a and nothing strictly between."""
-        return tuple(int(b) for b in np.flatnonzero(self._covers[:, a]))
+        return self._lower_covers[a]
 
     def big_meet(self, elems: Iterable[int]) -> int:
         return reduce(self.meet, elems, self.top)
@@ -221,23 +216,23 @@ class Lattice:
         raise ValueError(f"cannot interpret {elem!r} as a lattice element")
 
     @property
-    def meet_table(self) -> np.ndarray:
+    def meet_table(self) -> Table:
         return self._meet
 
     @property
-    def join_table(self) -> np.ndarray:
+    def join_table(self) -> Table:
         return self._join
 
     @property
-    def leq_matrix(self) -> np.ndarray:
+    def leq_matrix(self) -> tuple[tuple[bool, ...], ...]:
         return self._leq
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Lattice)
             and self.names == other.names
-            and np.array_equal(self._meet, other._meet)
-            and np.array_equal(self._join, other._join)
+            and self._meet == other._meet
+            and self._join == other._join
         )
 
     def __hash__(self) -> int:
@@ -251,9 +246,8 @@ def chain(m: int, names: Sequence[str] | None = None) -> Lattice:
     """The m-element chain 0 < 1 < ... < m-1."""
     if names is None:
         names = [str(i) for i in range(m)]
-    idx = np.arange(m)
-    meet = np.minimum(idx[:, None], idx[None, :])
-    join = np.maximum(idx[:, None], idx[None, :])
+    meet = [[min(a, b) for b in range(m)] for a in range(m)]
+    join = [[max(a, b) for b in range(m)] for a in range(m)]
     return Lattice(names, meet, join)
 
 
@@ -261,11 +255,6 @@ def divisor_lattice(n: int) -> Lattice:
     """Divisors of n ordered by divisibility, with gcd as meet and lcm as join."""
     divs = [d for d in range(1, n + 1) if n % d == 0]
     pos = {d: i for i, d in enumerate(divs)}
-    m = len(divs)
-    meet = np.zeros((m, m), dtype=np.intp)
-    join = np.zeros((m, m), dtype=np.intp)
-    for i, a in enumerate(divs):
-        for j, b in enumerate(divs):
-            meet[i, j] = pos[math.gcd(a, b)]
-            join[i, j] = pos[a * b // math.gcd(a, b)]
+    meet = [[pos[math.gcd(a, b)] for b in divs] for a in divs]
+    join = [[pos[math.lcm(a, b)] for b in divs] for a in divs]
     return Lattice([str(d) for d in divs], meet, join)

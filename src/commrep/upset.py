@@ -13,17 +13,9 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, Set
 
-import numpy as np
-
 from .vectors import INF, Vec, as_ext_vec, as_nat_vec, residual, vleq, vsup
 
-__all__ = ["GridSizeError", "UpSet", "max_elements", "min_elements"]
-
-GRID_LIMIT = 10_000_000
-
-
-class GridSizeError(ValueError):
-    """The candidate grid for a complement computation exceeds the limit."""
+__all__ = ["UpSet", "max_elements", "min_elements"]
 
 
 def min_elements(points: Iterable[Vec]) -> set[Vec]:
@@ -100,61 +92,43 @@ class UpSet:
         a = as_nat_vec(a, self.dim)
         return UpSet.from_points(self.dim, (residual(g, a) for g in self.gens))
 
-    def complement_maxima(self, grid_limit: int = GRID_LIMIT) -> Set[Vec]:
+    def complement_maxima(self) -> Set[Vec]:
         """Maximal elements of the complement within the INF-extended space.
 
         Notes
         -----
-        Every maximal point of the complement has, in each coordinate i,
-        either the value INF or a value of the form g_i - 1 for some
-        generator g with g_i > 0: pushing the coordinate one step further up
-        must cross into the set, and the only thresholds are generator
-        coordinates.  Conversely a candidate-grid point p outside the set is
-        maximal exactly when every finite coordinate bump p + e_i lands
-        inside the set, because the complement is downward closed.  Scanning
-        the candidate grid with that local test therefore yields exactly the
-        maxima of the complement.
-
-        The scan runs on ranks, so it is exact for coordinates of any size:
-        coordinate i is replaced by its rank among the values g_i and
-        g_i - 1 (g_i > 0) over all generators, and INF by the top rank.
-        Ranks keep the order between candidates and generators, and the
-        bump g_i - 1 -> g_i of a candidate is the step to the next rank.
+        The maxima are built by adding the generators one at a time (one
+        step of Berge's transversal multiplication; Fredman & Khachiyan
+        1996 bound its output-sensitive cost).  Outside the empty set the
+        only maximum is the all-INF point.  Adding a generator g removes
+        exactly the maxima p with g <= p; each is replaced by the points
+        ``p[i := g_i - 1]`` for the coordinates with g_i > 0, which lie
+        below p and outside the upward closure of g.  A replacement that is
+        not maximal lies below another replacement or below a maximum that
+        g left alone.  For the latter, r >= p[i := g_i - 1] with r not above
+        g forces r_i = g_i - 1, so only those r are compared.  Replacements
+        made on different coordinates never compare (each is at or above g
+        on the other's coordinate), so each coordinate keeps its own
+        maxima.  All arithmetic is on the coordinates themselves, so the
+        result is exact for coordinates of any size.
         """
-        axes, ranks, cands = [], [], []
-        size = 1
-        for i in range(self.dim):
-            col = {g[i] for g in self.gens}
-            vals = sorted(col | {c - 1 for c in col if c > 0})
-            rank = {v: r for r, v in enumerate(vals)}
-            axes.append(vals + [INF])  # rank -> coordinate
-            ranks.append(rank)
-            cands.append([rank[c - 1] for c in col if c > 0] + [len(vals)])
-            size *= len(cands[-1])
-        if size > grid_limit:
-            raise GridSizeError(
-                f"candidate grid has {size} points, exceeding the limit {grid_limit}"
-            )
-        grid = np.array(np.meshgrid(*cands, indexing="ij")).reshape(self.dim, -1).T
-        gens_arr = np.array(
-            [[ranks[i][c] for i, c in enumerate(g)] for g in self.gens], dtype=np.int64
-        ).reshape(len(self.gens), self.dim)
-        tops = np.array([len(axis) - 1 for axis in axes])
-        keep = ~_in_up(grid, gens_arr)
-        for i in range(self.dim):
-            bumped = grid.copy()
-            bumped[:, i] += 1
-            keep &= (grid[:, i] == tops[i]) | _in_up(bumped, gens_arr)
-        return {
-            tuple(axes[i][r] for i, r in enumerate(row)) for row in grid[keep].tolist()
-        }
+        maxima = [(INF,) * self.dim]
+        for g in self.gens:
+            above, kept = [], []
+            for p in maxima:
+                (above if all(map(operator.le, g, p)) else kept).append(p)
+            for i, c in enumerate(g):
+                if c == 0:
+                    continue
+                near = [r for r in kept if r[i] == c - 1]
+                split = (p[:i] + (c - 1,) + p[i + 1 :] for p in above)
+                kept.extend(max_elements(
+                    q for q in split if not any(all(map(operator.le, q, r)) for r in near)
+                ))
+            maxima = kept
+        return set(maxima)
 
     def _compatible(self, other: "UpSet") -> None:
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
 
-
-def _in_up(points: np.ndarray, gens: np.ndarray) -> np.ndarray:
-    if gens.shape[0] == 0:
-        return np.zeros(points.shape[0], dtype=bool)
-    return (points[:, None, :] >= gens[None, :, :]).all(axis=-1).any(axis=-1)

@@ -268,6 +268,33 @@ def test_python_dash_m_runs_the_cli(capsys, tmp_path):
     assert done.returncode == 2 and "error" in done.stderr
 
 
+def test_import_leaves_numpy_out():
+    src = str(Path(commrep.__file__).resolve().parent.parent)
+    probe = "import sys, commrep, commrep.cli; print('numpy' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert done.returncode == 0 and done.stdout == "False\n", done.stderr
+
+
+def test_ragged_lattice_table_is_a_lattice_error(capsys, monkeypatch):
+    _, out, _ = run(capsys, ["example", "B"])
+    names = json.loads(out)["lattice"]["elements"]
+    ragged = "must be 3x3, got ragged rows of lengths [3, 2, 3]"
+    cases = []
+    for key in ("meet", "join"):
+        doc = json.loads(out)
+        doc["lattice"][key][1].pop()
+        cases.append((doc, f"{key} table {ragged}"))
+    doc = json.loads(out)
+    doc["lattice"] = {"elements": names, "leq": [[1, 1, 1], [0, 1], [0, 0, 1]]}
+    cases.append((doc, f"leq matrix {ragged}"))
+    for doc, message in cases:
+        got = run(capsys, ["canonical"], stdin=json.dumps(doc), monkeypatch=monkeypatch)
+        assert got == (1, "", f"error: {message}\n")
+
+
 def test_unknown_example(capsys):
     code, _, err = run(capsys, ["example", "nope"])
     assert code == 1 and "unknown" in err

@@ -44,7 +44,7 @@ def test_lattice_round_trip(div52):
 
 
 def test_lattice_from_leq_doc(div52):
-    doc = {"elements": list(div52.names), "leq": div52.leq_matrix.tolist()}
+    doc = {"elements": list(div52.names), "leq": div52.leq_matrix}
     assert lattice_from_doc(doc) == div52
 
 

@@ -1,4 +1,5 @@
-import numpy as np
+import re
+
 import pytest
 
 from commrep import Lattice, LatticeError, chain, divisor_lattice
@@ -38,32 +39,73 @@ def test_lower_covers(div52):
     assert three.lower_covers(2) == (1,)
 
 
+def rejects(names, meet, join, message):
+    with pytest.raises(LatticeError, match=f"^{re.escape(message)}$"):
+        Lattice(names, meet, join)
+
+
+# meet = min on the chain 0 < 1 < 2
+MIN3 = [[0, 0, 0], [0, 1, 1], [0, 1, 2]]
+MAX3 = [[0, 1, 2], [1, 1, 2], [2, 2, 2]]
+# commutative and idempotent, but (p∘p)∘q = p∘q = r while p∘(p∘q) = p∘r = q
+CYCLE3 = [[0, 2, 1], [2, 1, 0], [1, 0, 2]]
+
+
 def test_noncommutative_meet_rejected():
     meet = [[0, 0], [1, 1]]  # meet(0,1)=0 but meet(1,0)=1
     join = [[0, 1], [1, 1]]
-    with pytest.raises(LatticeError, match="commutative"):
-        Lattice(["0", "1"], meet, join)
+    rejects(["0", "1"], meet, join, "meet is not commutative at (0, 1)")
+    rejects(["0", "1"], join, meet, "join is not commutative at (0, 1)")
+
+
+def test_nonidempotent_rejected():
+    two = ["0", "1"]
+    rejects(two, [[0, 0], [0, 0]], [[0, 1], [1, 1]], "meet is not idempotent at 1")
+    rejects(two, [[0, 0], [0, 1]], [[1, 1], [1, 1]], "join is not idempotent at 0")
 
 
 def test_nonassociative_rejected():
-    # meet behaves like min except meet(1,2) = 0, breaking associativity
-    meet = [[0, 0, 0], [0, 1, 0], [0, 0, 2]]
-    join = [[0, 1, 2], [1, 1, 2], [2, 2, 2]]
-    with pytest.raises(LatticeError):
-        Lattice(["0", "1", "2"], meet, join)
+    names = ["p", "q", "r"]
+    rejects(names, CYCLE3, MAX3, "meet is not associative at (p, p, q)")
+    rejects(names, MIN3, CYCLE3, "join is not associative at (p, p, q)")
 
 
 def test_absorption_violation_rejected():
-    # meet = min on the 2-chain but join is constantly top
-    meet = [[0, 0], [0, 1]]
-    join = [[1, 1], [1, 1]]
-    with pytest.raises(LatticeError):
-        Lattice(["0", "1"], meet, join)
+    # join = meet = min: a∧(a∨b) = a∧b, which is b < a at (1, 0)
+    low = [[0, 0], [0, 1]]
+    rejects(["0", "1"], low, low, "absorption a∧(a∨b)=a fails at (1, 0)")
+    # meet = min on 0 < 1 < 2 and every join of distinct elements is 2:
+    # the first law holds, the second fails at 1∨(1∧0) = 2
+    join = [[0, 2, 2], [2, 1, 2], [2, 2, 2]]
+    rejects(["0", "1", "2"], MIN3, join, "absorption a∨(a∧b)=a fails at (1, 0)")
 
 
 def test_out_of_range_table_entry():
-    with pytest.raises(LatticeError, match="out of range"):
-        Lattice(["0", "1"], [[0, 0], [0, 5]], [[0, 1], [1, 1]])
+    two, join = ["0", "1"], [[0, 1], [1, 1]]
+    rejects(two, [[0, 0], [0, 5]], join, "meet table entry at (1, 1) is out of range 0..1")
+    rejects(two, join, [[0, -1], [1, 1]], "join table entry at (0, 1) is out of range 0..1")
+
+
+@pytest.mark.parametrize(
+    "entry", [1.0, True, "1", None], ids=["float", "bool", "str", "none"]
+)
+def test_non_integer_table_entry(entry):
+    two, bad = ["0", "1"], [[0, 0], [0, entry]]
+    rejects(two, bad, [[0, 1], [1, 1]], "meet table must contain element indices")
+    rejects(two, [[0, 0], [0, 1]], bad, "join table must contain element indices")
+
+
+def test_table_shape_rejected():
+    two, join = ["0", "1"], [[0, 1], [1, 1]]
+    ragged = "got ragged rows of lengths"
+    rejects(two, [[0, 0], [0]], join, f"meet table must be 2x2, {ragged} [2, 1]")
+    rejects(two, join, [[0, 1, 1], [1, 1, 1]], "join table must be 2x2, got shape (2, 3)")
+    rejects(two, [0, 0], join, "meet table must be 2x2, got shape (2,)")
+    rejects(two, [], join, "meet table must be 2x2, got shape (0,)")
+    rejects(two, 5, join, "meet table must be 2x2, got shape ()")
+    message = f"^{re.escape(f'leq matrix must be 2x2, {ragged} [1, 2]')}$"
+    with pytest.raises(LatticeError, match=message):
+        Lattice.from_leq(two, [[1], [0, 1]])
 
 
 def test_duplicate_names_rejected():
@@ -77,11 +119,15 @@ def test_from_leq_matches_tables(div52):
 
 
 def test_from_leq_non_lattice_rejected():
-    # two maximal elements: x, y below both a, b, no least upper bound
-    leq = np.eye(4, dtype=bool)
-    leq[0, 2] = leq[0, 3] = leq[1, 2] = leq[1, 3] = True
-    with pytest.raises(LatticeError, match="bound"):
-        Lattice.from_leq(["x", "y", "a", "b"], leq)
+    # 0 below everything, x and y below both a and b: x, y have two minimal
+    # upper bounds, and in the reversed order two maximal lower bounds
+    names = ["0", "x", "y", "a", "b"]
+    leq = [[int(i == j or i == 0) for j in range(5)] for i in range(5)]
+    leq[1][3] = leq[1][4] = leq[2][3] = leq[2][4] = 1
+    with pytest.raises(LatticeError, match=r"^order has no least upper bound for \(x, y\)$"):
+        Lattice.from_leq(names, leq)
+    with pytest.raises(LatticeError, match=r"^order has no greatest lower bound for \(x, y\)$"):
+        Lattice.from_leq(names, [list(col) for col in zip(*leq)])
 
 
 def test_resolve_and_index(div52):
@@ -102,8 +148,11 @@ def test_single_element_lattice():
 
 
 def test_tables_immutable(div52):
-    with pytest.raises(ValueError):
-        div52.meet_table[0, 0] = 1
+    for table in (div52.meet_table, div52.join_table, div52.leq_matrix):
+        with pytest.raises(TypeError):
+            table[0][0] = 1
+        with pytest.raises(TypeError):
+            table[0] = table[1]
 
 
 @pytest.mark.parametrize("lat", lattice_catalog(), ids=lambda l: ",".join(l.names))

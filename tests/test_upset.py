@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import product
 
 import pytest
@@ -6,9 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from commrep import INF, UpSet
-from commrep.upset import GridSizeError, max_elements, min_elements
+from commrep.upset import max_elements, min_elements
 
-from util import brute_complement_maxima, brute_max_elements, brute_min_elements
+from util import (
+    brute_complement_maxima,
+    brute_max_elements,
+    brute_min_elements,
+    hyperplane,
+)
 
 dim = st.shared(st.integers(min_value=1, max_value=3), key="d")
 point = dim.flatmap(lambda d: st.tuples(*[st.integers(0, 5)] * d))
@@ -45,22 +51,40 @@ def test_union_intersection_examples():
 def test_complement_maxima_examples():
     u = UpSet.from_points(2, [(10, 20), (30, 5)])
     assert u.complement_maxima() == {(9, INF), (29, 19), (INF, 4)}
-    assert UpSet.from_points(3, []).complement_maxima() == {(INF, INF, INF)}
-    assert UpSet.from_points(2, [(0, 0)]).complement_maxima() == set()
+    for d in range(1, 6):
+        assert UpSet.from_points(d, []).complement_maxima() == {(INF,) * d}
+        assert UpSet.from_points(d, [(0,) * d]).complement_maxima() == set()
+    assert UpSet.from_points(3, [(0, 0, 7)]).complement_maxima() == {(INF, INF, 6)}
+
+
+# Coordinates stay below SIDE[d] so that the brute-force box stays small.
+SIDE = {1: 9, 2: 6, 3: 5, 4: 4, 5: 3}
+
+
+def random_upset(rng) -> UpSet:
+    """Dimension 1-5, up to 8 generators; some sets empty, some holding
+    the zero generator."""
+    d = rng.randint(1, 5)
+    pts = [
+        tuple(rng.randrange(SIDE[d]) for _ in range(d))
+        for _ in range(rng.randint(0, 8))
+    ]
+    if rng.random() < 0.05:
+        pts.append((0,) * d)
+    return UpSet.from_points(d, pts)
 
 
 def test_complement_maxima_matches_brute_force():
     rng = random.Random(7)
-    for _ in range(80):
-        d = rng.randrange(1, 4)
-        u = UpSet.from_points(
-            d,
-            [
-                tuple(rng.randrange(5) for _ in range(d))
-                for _ in range(rng.randrange(5))
-            ],
-        )
-        assert u.complement_maxima() == brute_complement_maxima(u)
+    seen = set()
+    for _ in range(200):
+        u = random_upset(rng)
+        assert u.complement_maxima() == brute_complement_maxima(u), u
+        seen.add((u.dim, len(u.gens) > 4, u.is_empty, u.gens == ((0,) * u.dim,)))
+    assert {d for d, *_ in seen} == set(SIDE)
+    assert any(big for _, big, _, _ in seen)
+    assert any(empty for *_, empty, _ in seen)
+    assert any(zero for *_, zero in seen)
 
 
 def test_complement_maxima_exact_for_big_coordinates():
@@ -76,21 +100,26 @@ def test_complement_maxima_offset_matches_brute_force():
     # coordinate of each maximum moves up by OFF.
     off = 2**60
     rng = random.Random(9)
-    for _ in range(80):
-        d = rng.randrange(1, 4)
-        u = UpSet.from_points(
-            d,
-            [
-                tuple(rng.randrange(5) for _ in range(d))
-                for _ in range(rng.randrange(5))
-            ],
-        )
-        big = UpSet.from_points(d, [tuple(c and c + off for c in g) for g in u.gens])
+    for _ in range(120):
+        u = random_upset(rng)
+        big = UpSet.from_points(u.dim, [tuple(c and c + off for c in g) for g in u.gens])
         want = {
             tuple(c if c == INF else c + off for c in p)
             for p in brute_complement_maxima(u)
         }
         assert big.complement_maxima() == want
+
+
+def test_complement_maxima_hyperplane_closed_form():
+    # Outside the upset of {x : sum x = s} lie exactly the points of sum
+    # below s, whose maxima are the points of sum s - 1.
+    u = UpSet.from_points(6, hyperplane(6, 8))
+    start = time.perf_counter()
+    maxima = u.complement_maxima()
+    elapsed = time.perf_counter() - start
+    assert maxima == set(hyperplane(6, 7))
+    assert len(maxima) == 792
+    assert elapsed < 2.0, elapsed
 
 
 def test_complement_maxima_is_antichain_outside():
@@ -106,12 +135,6 @@ def test_complement_maxima_is_antichain_outside():
             assert not u.member(p)
             for q in maxima:
                 assert p == q or not all(x <= y for x, y in zip(p, q))
-
-
-def test_grid_guard():
-    u = UpSet.from_points(3, [(1, 2, 3), (2, 3, 1), (3, 1, 2), (4, 5, 6)])
-    with pytest.raises(GridSizeError, match="exceed"):
-        u.complement_maxima(grid_limit=10)
 
 
 def test_direct_construction_requires_antichain():

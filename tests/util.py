@@ -6,8 +6,6 @@ from __future__ import annotations
 import math
 from itertools import product
 
-import numpy as np
-
 from commrep import (
     INF,
     CommEquality,
@@ -31,25 +29,21 @@ def bool4() -> Lattice:
         [0, 0, 1, 1],
         [0, 0, 0, 1],
     ]
-    return Lattice.from_leq(names, np.array(leq, dtype=bool))
+    return Lattice.from_leq(names, leq)
 
 
 def m3() -> Lattice:
     # three incomparable atoms between bottom and top
     names = ["0", "x", "y", "z", "1"]
-    leq = np.eye(5, dtype=bool)
-    leq[0, :] = True
-    leq[:, 4] = True
+    leq = [[i == j or i == 0 or j == 4 for j in range(5)] for i in range(5)]
     return Lattice.from_leq(names, leq)
 
 
 def n5() -> Lattice:
     # pentagon: 0 < a < c < 1 and 0 < b < 1 with b incomparable to a, c
     names = ["0", "a", "c", "b", "1"]
-    leq = np.eye(5, dtype=bool)
     order = {(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 4), (2, 4), (3, 4)}
-    for i, j in order:
-        leq[i, j] = True
+    leq = [[i == j or (i, j) in order for j in range(5)] for i in range(5)]
     return Lattice.from_leq(names, leq)
 
 
