@@ -20,7 +20,9 @@ and the pointwise comparisons and combinations used elsewhere.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from bisect import bisect_right
+from functools import reduce
+from typing import Iterable, Iterator, Sequence
 
 from .lattice import Lattice
 from .upset import UpSet, min_elements
@@ -44,6 +46,78 @@ __all__ = [
     "le_pointwise",
     "step",
 ]
+
+
+# Points per block of the dominance index: each block keeps at most this
+# many masks of this many bits per coordinate.
+_BLOCK = 256
+
+
+class _Below:
+    """Which of a fixed list of (vector, value) points lie at or below a query.
+
+    A bitmap dominance index (Tan, Eng & Ooi, VLDB 2001).  For each
+    coordinate it keeps the sorted distinct values and, for each rank, a
+    bitmask (a Python int) of the points whose coordinate is at or below
+    that value; the points below x are the AND over the coordinates of the
+    mask at x's rank, which ``bisect`` finds.  Coordinates are only
+    compared, so the index is exact for INF and for coordinates of any
+    size.  The points are split into blocks of ``_BLOCK`` with masks of
+    their own, so memory grows as n * d * _BLOCK bits rather than n^2 * d.
+    The "above" direction is the same index over the negated vectors.
+    """
+
+    def __init__(self, points: Sequence[tuple[Vec, int]]):
+        self._blocks = [
+            self._block(points[i : i + _BLOCK]) for i in range(0, len(points), _BLOCK)
+        ]
+
+    @staticmethod
+    def _block(chunk: Sequence[tuple[Vec, int]]):
+        vecs = tuple(v for v, _ in chunk)
+        axes = []
+        for coords in zip(*vecs):
+            vals = sorted(set(coords))
+            rank = {c: r for r, c in enumerate(vals)}
+            masks = [0] * len(vals)
+            for j, c in enumerate(coords):
+                masks[rank[c]] |= 1 << j
+            for r in range(1, len(masks)):
+                masks[r] |= masks[r - 1]
+            axes.append((vals, masks))
+        groups: dict[int, int] = {}
+        for j, (_, e) in enumerate(chunk):
+            groups[e] = groups.get(e, 0) | 1 << j
+        return axes, tuple(groups.items()), vecs
+
+    def _hits(self, x: Vec) -> Iterator[tuple[int, tuple, tuple]]:
+        # (mask of the points below x, value groups, vectors) per block
+        for axes, groups, vecs in self._blocks:
+            mask = -1
+            for (vals, masks), c in zip(axes, x):
+                r = bisect_right(vals, c)
+                mask = mask & masks[r - 1] if r else 0
+                if not mask:
+                    break
+            else:
+                yield mask, groups, vecs
+
+    def values(self, x: Vec) -> set[int]:
+        """The distinct values of the points at or below x."""
+        return {e for mask, groups, _ in self._hits(x) for e, g in groups if mask & g}
+
+    def vectors(self, x: Vec) -> Iterator[Vec]:
+        """The vectors of the points at or below x."""
+        for mask, _, vecs in self._hits(x):
+            while mask:
+                low = mask & -mask
+                yield vecs[low.bit_length() - 1]
+                mask ^= low
+
+
+def _neg(v: Vec) -> Vec:
+    """The mirror image: v <= w exactly when _neg(w) <= _neg(v)."""
+    return tuple(-c for c in v)
 
 
 class _PointSet:
@@ -81,6 +155,11 @@ class Rep(_PointSet):
     Points may be passed in any order; duplicate vectors are merged by
     taking the meet of their values, which leaves the represented function
     unchanged.  Element values may be given as indices or names.
+
+    Evaluation asks a bitmap dominance index over the points which of them
+    lie below the query; the index is built on the first evaluation that
+    misses the memo of values.  The meet profile, the sublevels and their
+    complement maxima are computed once each and kept.
     """
 
     def __init__(self, lattice: Lattice, dim: int, points: Iterable = ()):
@@ -95,7 +174,9 @@ class Rep(_PointSet):
         self.dim = dim
         self.points: tuple[tuple[Vec, int], ...] = tuple(sorted(merged.items()))
         self._values: dict[Vec, int] = {}
+        self._index: _Below | None = None
         self._levels: dict[int, UpSet] = {}
+        self._maxima: dict[int, set[Vec]] = {}
         self._profile: dict[int, tuple[Vec, ...]] | None = None
 
     # -- evaluation ---------------------------------------------------------
@@ -116,11 +197,14 @@ class Rep(_PointSet):
         try:
             return self._values[x]
         except KeyError:
-            v = self.lattice.big_meet(
-                val for vec, val in self.points if vleq(vec, x)
-            )
+            v = self.lattice.big_meet(self._below().values(x))
             self._values[x] = v
             return v
+
+    def _below(self) -> _Below:
+        if self._index is None:
+            self._index = _Below(self.points)
+        return self._index
 
     def witness(self, x) -> Vec:
         """A finite b <= x at which the function attains eval_ext(x).
@@ -129,11 +213,7 @@ class Rep(_PointSet):
         zero vector if there are none).
         """
         x = as_ext_vec(x, self.dim)
-        b = zero(self.dim)
-        for vec, _ in self.points:
-            if vleq(vec, x):
-                b = vsup(b, vec)
-        return b
+        return reduce(vsup, self._below().vectors(x), zero(self.dim))
 
     # -- level sets and derived representations ------------------------------
 
@@ -142,20 +222,26 @@ class Rep(_PointSet):
         # of prescribed vectors whose values meet to v.  Grouping subset
         # suprema by their meet value explores all subsets without the
         # exponential enumeration; dominated suprema are dropped as they can
-        # never produce new minimal level-set elements.  A value the new
-        # point does not lower is skipped, since its suprema lie above its
-        # own antichain; a new bucket is merged into the old antichain,
-        # which is minimal already, so old pairs are never compared again.
+        # never produce new minimal level-set elements.  The fold takes one
+        # step per distinct value, with all of its points at once: a subset
+        # holding two points of one value has the same meet as either alone
+        # and a larger supremum.  A bucket the value does not lower is
+        # skipped, since its suprema lie above its own antichain; a new
+        # bucket is merged into the old antichain, which is minimal
+        # already, so old pairs are never compared again.
         if self._profile is None:
             lat = self.lattice
-            prof: dict[int, set[Vec]] = {lat.top: {zero(self.dim)}}
+            groups: dict[int, list[Vec]] = {}
             for vec, val in self.points:
+                groups.setdefault(val, []).append(vec)
+            prof: dict[int, set[Vec]] = {lat.top: {zero(self.dim)}}
+            for val, members in groups.items():
                 updates: dict[int, set[Vec]] = {}
                 for mval, anti in prof.items():
                     nv = lat.meet(mval, val)
                     if nv != mval:
                         bucket = updates.setdefault(nv, set())
-                        bucket.update(vsup(s, vec) for s in anti)
+                        bucket.update(vsup(s, vec) for s in anti for vec in members)
                 for nv, vecs in updates.items():
                     old = prof.get(nv, set())
                     new = {
@@ -188,6 +274,13 @@ class Rep(_PointSet):
             self._levels[alpha] = UpSet.from_points(self.dim, pts)
         return self._levels[alpha]
 
+    def _level_maxima(self, alpha: int) -> set[Vec]:
+        # The maximal vectors outside the alpha-sublevel, computed once and
+        # shared by complete() and check_complete; callers must not mutate.
+        if alpha not in self._maxima:
+            self._maxima[alpha] = self.sublevel(alpha).complement_maxima()
+        return self._maxima[alpha]
+
     def canonical(self) -> "Rep":
         """The canonical representation: minimal vectors of each value class.
 
@@ -213,7 +306,7 @@ class Rep(_PointSet):
             level = self.sublevel(a)
             for vec in level.gens:
                 pts.setdefault(vec, self._value_at(vec))
-            for vec in level.complement_maxima():
+            for vec in self._level_maxima(a):
                 pts.setdefault(vec, self._value_at(vec))
         return ExtRep(self.lattice, self.dim, sorted(pts.items()))
 
@@ -272,21 +365,24 @@ def check_complete(rep: Rep, ext: ExtRep) -> bool:
     points below each minimal sublevel vector stays below alpha, while the
     join of ``ext`` values at points above each maximal complement vector
     does not drop below alpha.
+
+    The points of ``ext`` below and above each query come from two
+    dominance indexes over ``ext.points``; the sublevels and their
+    complement maxima are the ones ``rep`` keeps for :meth:`Rep.complete`.
     """
     rep._compatible(ext)
     lat = rep.lattice
     for vec, val in ext.points:
         if rep.eval_ext(vec) != val:
             return False
+    below = _Below(ext.points)
+    above = _Below([(_neg(v), e) for v, e in ext.points])
     for a in range(lat.m):
-        level = rep.sublevel(a)
-        for b in level.gens:
-            bound = lat.big_meet(d for dv, d in ext.points if vleq(dv, b))
-            if not lat.leq(bound, a):
+        for b in rep.sublevel(a).gens:
+            if not lat.leq(lat.big_meet(below.values(b)), a):
                 return False
-        for b in level.complement_maxima():
-            bound = lat.big_join(d for dv, d in ext.points if vleq(b, dv))
-            if lat.leq(bound, a):
+        for b in rep._level_maxima(a):
+            if lat.leq(lat.big_join(above.values(_neg(b))), a):
                 return False
     return True
 

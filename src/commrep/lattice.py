@@ -3,9 +3,10 @@
 Elements are the dense indices ``0 .. m-1``; the names supplied at
 construction are used only at the I/O boundary.  Construction always runs
 the full axiom check (commutativity, associativity, idempotence,
-absorption, order consistency, existence of top and bottom), so any
-``Lattice`` instance in circulation is a genuine bounded lattice and
-downstream code never re-validates.
+absorption), so any ``Lattice`` instance in circulation is a genuine
+bounded lattice and downstream code never re-validates.  The axioms imply
+the rest: commutativity and absorption make a∧b=a coincide with a∨b=b,
+and a finite lattice has a top and a bottom.
 
 Conventions:
     - ``leq(a, b)`` holds iff ``meet(a, b) == a`` (equivalently
@@ -91,11 +92,9 @@ class Lattice:
             tuple(b for b in bs if not any(self._leq[b][c] for c in bs if c != b))
             for bs in below
         )
-        tops = [b for b in elems if all(self._leq[a][b] for a in elems)]
-        bottoms = [a for a in elems if all(self._leq[a][b] for b in elems)]
-        if len(tops) != 1 or len(bottoms) != 1:
-            raise LatticeError("lattice must have a unique top and bottom")
-        self.top, self.bottom = tops[0], bottoms[0]
+        # a finite lattice is bounded: the join of all elements is the top
+        self.top = reduce(self.join, elems)
+        self.bottom = reduce(self.meet, elems)
         self._hash = hash((names, self._meet, self._join))
 
     # -- construction -----------------------------------------------------
@@ -105,24 +104,21 @@ class Lattice:
         """Build a lattice from a boolean order matrix (leq[a][b] iff a <= b).
 
         Meets and joins are computed as greatest lower / least upper bounds
-        and then validated like directly supplied tables.
+        and then validated like directly supplied tables.  Their order is
+        the given relation: once meet is idempotent, a is the unique
+        greatest lower bound of (a, a), so the relation is reflexive and
+        antisymmetric, and a∧b = a holds exactly when a <= b.
         """
         names = tuple(str(n) for n in names)
         m = len(names)
         leq = [[bool(x) for x in row] for row in _rows(leq_matrix, m, "leq matrix")]
         geq = [list(col) for col in zip(*leq)]
-        pairs = list(product(range(m), range(m)))
         meet = [[0] * m for _ in range(m)]
         join = [[0] * m for _ in range(m)]
-        for a, b in pairs:
+        for a, b in product(range(m), range(m)):
             meet[a][b] = cls._least_upper(geq, names, a, b, "greatest lower")
             join[a][b] = cls._least_upper(leq, names, a, b, "least upper")
-        lat = cls(names, meet, join)
-        lat._check(
-            "relation is not a lattice order: derived order disagrees at ({}, {})",
-            ((a, b) for a, b in pairs if lat._leq[a][b] != leq[a][b]),
-        )
-        return lat
+        return cls(names, meet, join)
 
     @staticmethod
     def _least_upper(order, names, a: int, b: int, kind: str) -> int:
@@ -163,10 +159,6 @@ class Lattice:
         self._check(
             "absorption a∨(a∧b)=a fails at ({}, {})",
             ((a, b) for a, b in pairs if join[a][meet[a][b]] != a),
-        )
-        self._check(
-            "order is inconsistent at ({}, {}): a∧b=a must coincide with a∨b=b",
-            ((a, b) for a, b in pairs if (meet[a][b] == a) != (join[a][b] == b)),
         )
 
     def _check(self, message: str, witnesses: Iterable[tuple[int, ...]]) -> None:

@@ -63,7 +63,16 @@ class UpSet:
     def from_points(cls, dim: int, points: Iterable[Vec]) -> "UpSet":
         """Upward closure of an arbitrary finite set; keeps only minimal points."""
         pts = {as_nat_vec(p, dim) for p in points}
-        return cls(dim, tuple(sorted(min_elements(pts))))
+        return cls._trusted(dim, tuple(sorted(min_elements(pts))))
+
+    @classmethod
+    def _trusted(cls, dim: int, gens: tuple[Vec, ...]) -> "UpSet":
+        # An instance from generators that are already a sorted antichain of
+        # checked vectors, skipping the checks of __post_init__.
+        self = object.__new__(cls)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "gens", gens)
+        return self
 
     @property
     def is_empty(self) -> bool:

@@ -35,6 +35,8 @@ Vec = tuple  # coordinates: int or INF
 
 
 def _coord(c, allow_inf: bool):
+    if type(c) is int and c >= 0:
+        return c
     if isinstance(c, Integral) and not isinstance(c, bool):
         c = int(c)
         if c < 0:

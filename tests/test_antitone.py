@@ -1,8 +1,14 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 import pytest
 
+import commrep
 from commrep import (
     INF,
     ExtRep,
@@ -19,10 +25,13 @@ from commrep import (
 
 from util import (
     box,
+    brute_check_complete,
+    brute_eval,
     brute_eval_ext,
     brute_meet_profile,
     brute_min_eq,
     brute_min_leq,
+    brute_witness,
     coord_bound,
     hyperplane,
     lattice_catalog,
@@ -227,6 +236,97 @@ def test_perturbed_point_sets_are_rejected():
             assert not check_complete(rep, tampered)
             tried += 1
     assert tried >= 100
+
+
+def test_index_matches_scans_on_seeded_reps():
+    # The dominance index against the point scans: evaluation (INF query
+    # coordinates included), witnesses, check_complete on the complete set
+    # and on it with one point dropped, and the value-grouped meet profile
+    # against the point-by-point fold; every third rep is offset by 2^60.
+    rng = random.Random(11)
+    lattices = lattice_catalog()
+    verdicts = {True: 0, False: 0}
+    for i in range(1500):
+        lat = lattices[i % len(lattices)]
+        d = rng.randrange(1, 4)
+        rep = random_rep(rng, lat, d, max_coord=5, max_points=6)
+        off = 2**60 if i % 3 == 0 else 0
+        if off:
+            rep = Rep(lat, d, [(tuple(c + off for c in v), e) for v, e in rep.points])
+        for _ in range(10):
+            x = tuple(c if c == INF else c + off for c in random_ext_vec(rng, d))
+            assert rep.eval_ext(x) == brute_eval(rep, x)
+            assert rep.witness(x) == brute_witness(rep, x)
+        assert rep._meet_profile() == brute_meet_profile(rep)
+        comp = rep.complete()
+        assert check_complete(rep, comp) and brute_check_complete(rep, comp)
+        if comp.points:
+            drop = rng.randrange(len(comp.points))
+            tampered = ExtRep(lat, d, comp.points[:drop] + comp.points[drop + 1 :])
+            verdict = check_complete(rep, tampered)
+            assert verdict == brute_check_complete(rep, tampered)
+            verdicts[verdict] += 1
+    assert verdicts[True] >= 100 and verdicts[False] >= 100
+
+
+def test_index_spans_blocks():
+    # 700 points fill three blocks of the index; evaluation and witnesses
+    # agree with the scans, near 0 and near 2^60.
+    rng = random.Random(13)
+    lat = lattice_catalog()[-1]
+    for off in (0, 2**60):
+        pts = [
+            (tuple(off + rng.randrange(40) for _ in range(3)), rng.randrange(lat.m))
+            for _ in range(700)
+        ]
+        rep = Rep(lat, 3, pts)
+        assert len(rep.points) > 2 * 256
+        for _ in range(200):
+            x = tuple(INF if rng.random() < 0.2 else off + rng.randrange(45) for _ in range(3))
+            assert rep.eval_ext(x) == brute_eval(rep, x)
+            assert rep.witness(x) == brute_witness(rep, x)
+
+
+# Peak RSS allowed to the 10^5-point run below, which peaks at about 85 MB
+# with the blocked index; masks over all n points would take n^2 / 8 bytes
+# per coordinate, 1.25 GB at this n.
+INDEX_RSS_MB = 150
+
+
+def test_index_memory_is_bounded():
+    # 10^5 points with distinct coordinates near 2^60, in a subprocess with
+    # an address-space limit so that an unbounded index fails fast.
+    script = textwrap.dedent(f"""
+        import random, resource
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        from commrep import INF, Rep, chain
+        from util import brute_eval
+        rng = random.Random(12)
+        n, base = 100_000, 2**60
+        axes = [rng.sample(range(2**40), n) for _ in range(3)]
+        rep = Rep(chain(4), 3, [((base + a, base + b, base + c), rng.randrange(4))
+                                for a, b, c in zip(*axes)])
+        def query():
+            scale = 2 ** rng.randrange(33, 41)
+            return tuple(INF if rng.random() < 0.1 else base + rng.randrange(scale)
+                         for _ in range(3))
+        queries = [query() for _ in range(100)]
+        values = [rep.eval_ext(q) for q in queries]
+        assert len(set(values)) == 4, values
+        for q, v in list(zip(queries, values))[::20]:
+            assert v == brute_eval(rep, q), q
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024
+        assert peak < {INDEX_RSS_MB}, f"peak RSS {{peak}} MB"
+    """)
+    tests = str(Path(__file__).resolve().parent)
+    src = str(Path(commrep.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, tests])}
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert time.perf_counter() - start < 30
 
 
 # -- finite determination --------------------------------------------------------

@@ -1,4 +1,7 @@
+import hashlib
 import re
+from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -128,6 +131,61 @@ def test_from_leq_non_lattice_rejected():
         Lattice.from_leq(names, leq)
     with pytest.raises(LatticeError, match=r"^order has no greatest lower bound for \(x, y\)$"):
         Lattice.from_leq(names, [list(col) for col in zip(*leq)])
+
+
+def _outcome(build) -> str:
+    try:
+        lat = build()
+    except LatticeError as e:
+        return f"error: {e}"
+    return f"ok: top {lat.top} bottom {lat.bottom} leq {lat.leq_matrix}"
+
+
+def _message_kinds(outcomes) -> Counter:
+    return Counter(re.sub(r" (at|for) \(?[\d, ]+\)?$", "", o) for o in outcomes)
+
+
+def test_every_small_relation_and_table_pair():
+    # Every 0/1 relation on 1-4 elements through from_leq, and every pair of
+    # 2x2 meet/join tables with entries 0/1 through Lattice.  The digests
+    # pin each verdict, each message and each accepted order, top and bottom
+    # in input order; the counts name what the inputs reach.  No input
+    # reaches an order-consistency, unique top/bottom or derived-order
+    # failure: the checks above them already imply those properties.
+    relations = []
+    for m in range(1, 5):
+        names = [str(i) for i in range(m)]
+        for bits in product((0, 1), repeat=m * m):
+            rel = [bits[i * m : (i + 1) * m] for i in range(m)]
+            relations.append(_outcome(lambda: Lattice.from_leq(names, rel)))
+    assert len(relations) == 66066
+    assert _message_kinds(o for o in relations if o.startswith("error")) == {
+        "error: order has no greatest lower bound": 46591,
+        "error: order has no least upper bound": 18038,
+        "error: meet is not idempotent": 1338,
+        "error: meet is not associative": 54,
+    }
+    assert sum(o.startswith("ok") for o in relations) == 45
+    assert hashlib.sha256("\n".join(relations).encode()).hexdigest() == (
+        "70fd149706c1f751931ae6678d6029b7433adb46f862c6af076b1002bf55b174"
+    )
+
+    tables = [[bits[:2], bits[2:]] for bits in product((0, 1), repeat=4)]
+    pairs = [_outcome(lambda: Lattice(["0", "1"], mt, jt)) for mt in tables for jt in tables]
+    assert _message_kinds(o for o in pairs if o.startswith("error")) == {
+        "error: meet is not commutative": 128,
+        "error: meet is not idempotent": 96,
+        "error: join is not commutative": 16,
+        "error: join is not idempotent": 12,
+        "error: absorption a∧(a∨b)=a fails": 2,
+    }
+    assert sorted(o for o in pairs if o.startswith("ok")) == [
+        "ok: top 0 bottom 1 leq ((True, False), (True, True))",
+        "ok: top 1 bottom 0 leq ((True, True), (False, True))",
+    ]
+    assert hashlib.sha256("\n".join(pairs).encode()).hexdigest() == (
+        "2def87c9385555e1e3af373d67ccda993c462727be10b293dc86159ad7dcd59b"
+    )
 
 
 def test_resolve_and_index(div52):

@@ -138,10 +138,24 @@ def test_complement_maxima_is_antichain_outside():
 
 
 def test_direct_construction_requires_antichain():
-    with pytest.raises(ValueError, match="antichain"):
-        UpSet(2, ((1, 1), (2, 2)))
-    with pytest.raises(ValueError):
+    message = "^generators must be a sorted antichain; use from_points$"
+    with pytest.raises(ValueError, match=message):
+        UpSet(2, ((1, 1), (2, 2)))  # dominated
+    with pytest.raises(ValueError, match=message):
         UpSet(2, ((2, 2), (1, 3)))  # unsorted
+    with pytest.raises(ValueError, match="^coordinates must be nonnegative, got -1$"):
+        UpSet(2, ((0, -1),))
+    with pytest.raises(ValueError, match="^expected dimension 2, got 3$"):
+        UpSet(2, ((0, 1, 2),))
+
+
+def test_from_points_equals_direct_construction():
+    built = UpSet.from_points(2, [(2, 2), (1, 3), (3, 3), (1, 3)])
+    direct = UpSet(2, ((1, 3), (2, 2)))
+    assert built == direct and hash(built) == hash(direct)
+    assert built.gens == direct.gens and built.dim == direct.dim
+    with pytest.raises(AttributeError):
+        built.gens = ()
 
 
 def test_dimension_mismatch():

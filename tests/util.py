@@ -9,6 +9,7 @@ from itertools import product
 from commrep import (
     INF,
     CommEquality,
+    ExtRep,
     Lattice,
     Rep,
     UpSet,
@@ -108,6 +109,42 @@ def brute_eval_ext(rep: Rep, x) -> int:
         range(int(min(c, b)) + 1) if not math.isinf(c) else range(b + 1) for c in x
     ]
     return rep.lattice.big_meet(rep.eval(v) for v in product(*ranges))
+
+
+def brute_eval(rep: Rep, x) -> int:
+    """Value at a finite or extended vector: the meet of the values at the
+    prescribed vectors below x, scanning every point."""
+    return rep.lattice.big_meet(val for vec, val in rep.points if vleq(vec, x))
+
+
+def brute_witness(rep: Rep, x) -> tuple:
+    """The supremum of the prescribed vectors below x, or the zero vector."""
+    b = zero(rep.dim)
+    for vec, _ in rep.points:
+        if vleq(vec, x):
+            b = vsup(b, vec)
+    return b
+
+
+def brute_check_complete(rep: Rep, ext: ExtRep) -> bool:
+    """check_complete by scanning every point of ``ext`` for each query,
+    with the values taken from :func:`brute_eval` and the complement maxima
+    recomputed for every sublevel."""
+    lat = rep.lattice
+    for vec, val in ext.points:
+        if brute_eval(rep, vec) != val:
+            return False
+    for a in range(lat.m):
+        level = rep.sublevel(a)
+        for b in level.gens:
+            bound = lat.big_meet(d for dv, d in ext.points if vleq(dv, b))
+            if not lat.leq(bound, a):
+                return False
+        for b in level.complement_maxima():
+            bound = lat.big_join(d for dv, d in ext.points if vleq(b, dv))
+            if lat.leq(bound, a):
+                return False
+    return True
 
 
 def brute_min_elements(points) -> set:
