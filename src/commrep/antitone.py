@@ -32,7 +32,6 @@ from .vectors import (
     as_ext_vec,
     as_nat_vec,
     residual,
-    vleq,
     vsup,
     zero,
 )
@@ -158,8 +157,8 @@ class Rep(_PointSet):
 
     Evaluation asks a bitmap dominance index over the points which of them
     lie below the query; the index is built on the first evaluation that
-    misses the memo of values.  The meet profile, the sublevels and their
-    complement maxima are computed once each and kept.
+    misses the memo of values.  The meet profile, the sublevels and the
+    complement maxima of each distinct upset are computed once and kept.
     """
 
     def __init__(self, lattice: Lattice, dim: int, points: Iterable = ()):
@@ -176,7 +175,7 @@ class Rep(_PointSet):
         self._values: dict[Vec, int] = {}
         self._index: _Below | None = None
         self._levels: dict[int, UpSet] = {}
-        self._maxima: dict[int, set[Vec]] = {}
+        self._maxima: dict[UpSet, set[Vec]] = {}
         self._profile: dict[int, tuple[Vec, ...]] | None = None
 
     # -- evaluation ---------------------------------------------------------
@@ -226,9 +225,7 @@ class Rep(_PointSet):
         # step per distinct value, with all of its points at once: a subset
         # holding two points of one value has the same meet as either alone
         # and a larger supremum.  A bucket the value does not lower is
-        # skipped, since its suprema lie above its own antichain; a new
-        # bucket is merged into the old antichain, which is minimal
-        # already, so old pairs are never compared again.
+        # skipped, since its suprema lie above its own antichain.
         if self._profile is None:
             lat = self.lattice
             groups: dict[int, list[Vec]] = {}
@@ -243,15 +240,7 @@ class Rep(_PointSet):
                         bucket = updates.setdefault(nv, set())
                         bucket.update(vsup(s, vec) for s in anti for vec in members)
                 for nv, vecs in updates.items():
-                    old = prof.get(nv, set())
-                    new = {
-                        v
-                        for v in min_elements(vecs)
-                        if not any(vleq(o, v) for o in old)
-                    }
-                    prof[nv] = new | {
-                        o for o in old if not any(vleq(v, o) for v in new)
-                    }
+                    prof[nv] = min_elements(prof.get(nv, set()) | vecs)
             self._profile = {v: tuple(sorted(a)) for v, a in prof.items()}
         return self._profile
 
@@ -274,12 +263,12 @@ class Rep(_PointSet):
             self._levels[alpha] = UpSet.from_points(self.dim, pts)
         return self._levels[alpha]
 
-    def _level_maxima(self, alpha: int) -> set[Vec]:
-        # The maximal vectors outside the alpha-sublevel, computed once and
-        # shared by complete() and check_complete; callers must not mutate.
-        if alpha not in self._maxima:
-            self._maxima[alpha] = self.sublevel(alpha).complement_maxima()
-        return self._maxima[alpha]
+    def _maxima_outside(self, level: UpSet) -> set[Vec]:
+        # The maximal vectors outside an upset, computed once per distinct
+        # upset for complete(), check_complete and hc8; do not mutate.
+        if level not in self._maxima:
+            self._maxima[level] = level.complement_maxima()
+        return self._maxima[level]
 
     def canonical(self) -> "Rep":
         """The canonical representation: minimal vectors of each value class.
@@ -306,7 +295,7 @@ class Rep(_PointSet):
             level = self.sublevel(a)
             for vec in level.gens:
                 pts.setdefault(vec, self._value_at(vec))
-            for vec in self._level_maxima(a):
+            for vec in self._maxima_outside(level):
                 pts.setdefault(vec, self._value_at(vec))
         return ExtRep(self.lattice, self.dim, sorted(pts.items()))
 
@@ -381,7 +370,7 @@ def check_complete(rep: Rep, ext: ExtRep) -> bool:
         for b in rep.sublevel(a).gens:
             if not lat.leq(lat.big_meet(below.values(b)), a):
                 return False
-        for b in rep._level_maxima(a):
+        for b in rep._maxima_outside(rep.sublevel(a)):
             if lat.leq(lat.big_join(above.values(_neg(b))), a):
                 return False
     return True

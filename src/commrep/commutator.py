@@ -202,10 +202,19 @@ def reduced_equalities(rep: Rep) -> tuple[CommEquality, ...]:
 
     Starting from the canonical equalities, the trivial ones are dropped
     (the empty bracket, and singleton brackets attaining their own
-    argument), then, if the sequence is bounded (hc1) and monotone (hc2),
-    any that the largest bounded monotone sequence through the remaining
-    ones already attains.  That sequence is bounded and monotone, so it
-    never equals one that is not; its values come from Hall's condition.
+    argument), then, if the sequence F is bounded (hc1) and monotone (hc2),
+    each b = beta that the largest bounded monotone sequence through the
+    others already attains at b.  That sequence is bounded and monotone, so
+    it never equals one that is not; its values come from Hall's condition.
+
+    One pass suffices, in no particular order.  "q reaches b" (_reaches) is
+    a partial order: replacements compose, and a strict one keeps the sum
+    and lowers the rank sum.  Let D hold the equalities the others entail
+    and K the rest.  Any q = gamma helping to entail some b = beta in D lies
+    strictly below b, so by induction the closure through K is <= gamma at
+    every canonical point q, hence it equals the bounded monotone F.
+    Dropping equalities one by one drops only members of D (fewer give a
+    larger closure) and all of them (the rest always contain K): K again.
     """
     _require_encoding(rep)
     lat = rep.lattice
@@ -219,13 +228,11 @@ def reduced_equalities(rep: Rep) -> tuple[CommEquality, ...]:
     kept = [CommEquality(v, val) for v, val in points if not trivial(v, val)]
     if not (check_hc1(rep) and check_hc2(rep)):
         return tuple(kept)
-    # fewest arguments first, then the spelled-out argument tuples in order
-    for e in sorted(kept, key=lambda q: (sum(q.vec), tuple(-c for c in q.vec))):
-        rest = [q for q in kept if q != e]
-        closed = _monotone_closed_rep(lat, [(q.vec, q.rhs) for q in rest])
-        if all(lat.leq(closed(v), val) for v, val in points):
-            kept = rest
-    return tuple(kept)
+    pairs = [(e.vec, e.rhs) for e in kept]
+    return tuple(
+        e for i, e in enumerate(kept)
+        if not lat.leq(_monotone_closed_rep(lat, pairs[:i] + pairs[i + 1 :])(e.vec), e.rhs)
+    )
 
 
 def example(name: str) -> tuple[Lattice, Rep]:

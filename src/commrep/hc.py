@@ -97,8 +97,9 @@ def _hc8_witness(rep: Rep):
     # the b-part of the arguments by the single element j = eval(b).  The
     # value at a - b + e_j grows with b, so only the largest b <= a with
     # eval(b) = j matter: each is vinf(a, p) for a complement maximum p of
-    # the union of the sublevels of j's lower covers.  Every pooled
-    # candidate is some b <= a, checked with its own value, so none is wrong.
+    # the union of the sublevels of j's lower covers, which the rep caches
+    # with its sublevels' maxima: the union over one cover is its sublevel.
+    # Every pooled candidate is some b <= a, checked with its own value.
     _require_encoding(rep)
     lat = rep.lattice
     tops = set()
@@ -106,7 +107,7 @@ def _hc8_witness(rep: Rep):
         below = UpSet.from_points(
             rep.dim, (g for c in lat.lower_covers(j) for g in rep.sublevel(c).gens)
         )
-        tops |= below.complement_maxima()
+        tops |= rep._maxima_outside(below)
     for a, alpha in rep.canonical().points:
         for b in sorted({vinf(a, p) for p in tops}):
             j = rep.eval(b)

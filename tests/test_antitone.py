@@ -13,12 +13,16 @@ from commrep import (
     INF,
     ExtRep,
     Rep,
+    UpSet,
+    admissibility_report,
     chain,
     check_complete,
     equal_fn,
+    example,
     join_fn,
     le_pointwise,
     step,
+    to_extended_equalities,
     vadd,
     vleq,
 )
@@ -200,6 +204,48 @@ def test_complete_hyperplane_in_four_dimensions():
 def test_complete_b_encoding(rep_b, known_h):
     assert check_complete(rep_b, rep_b.complete())
     assert check_complete(rep_b, known_h)
+
+
+def count_complement_maxima(monkeypatch) -> list:
+    """The upsets UpSet.complement_maxima is called on from now on."""
+    calls = []
+    original = UpSet.complement_maxima
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(UpSet, "complement_maxima", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["B", "B7"])
+def test_complement_maxima_are_computed_once_per_distinct_upset(monkeypatch, name):
+    # complete(), check_complete and hc8 share one cache keyed by the upset:
+    # the sublevels of 0, alpha and 1, and hc8's union of the lower-cover
+    # sublevels of each element, which is empty for 0 and a sublevel else.
+    lat, rep = example(name)
+    calls = count_complement_maxima(monkeypatch)
+    admissibility_report(rep)
+    to_extended_equalities(rep)
+    assert check_complete(rep, rep.complete())
+    sublevels = {rep.sublevel(a) for a in range(lat.m)}
+    unions = {
+        UpSet.from_points(
+            rep.dim, (g for c in lat.lower_covers(j) for g in rep.sublevel(c).gens)
+        )
+        for j in range(lat.m)
+    }
+    assert len(calls) == len(set(calls)) == len(sublevels | unions) == 4
+
+
+def test_equal_sublevels_share_their_complement_maxima(monkeypatch):
+    # div52 takes no value below 1 or 13, so both sublevels are empty
+    _, rep = example("div52")
+    calls = count_complement_maxima(monkeypatch)
+    rep.complete()
+    assert rep.sublevel("1") == rep.sublevel("13")
+    assert len(calls) == len({rep.sublevel(a) for a in range(rep.lattice.m)}) == 5
 
 
 def test_check_complete_requires_matching_context(div52, rep_g):

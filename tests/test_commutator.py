@@ -271,6 +271,18 @@ def test_reduced_set_still_determines_largest(chain3, rep_b):
         assert closed(x) == rep_b.eval(x) == brute.eval(x)
 
 
+def dropped(rep, reduced) -> int:
+    """How many nontrivial canonical equalities the reduction left out."""
+    lat = rep.lattice
+    nontrivial = [
+        e
+        for e in to_equalities(rep)
+        if not (sum(e.vec) == 0 and e.rhs == lat.top)
+        and not (sum(e.vec) == 1 and e.vec[e.rhs] == 1)
+    ]
+    return len(nontrivial) - len(reduced)
+
+
 def test_reduced_equalities_match_materialised_closure():
     # Random encodings over the small catalog lattices; unit points take a
     # value below their element, so that many of them are bounded and
@@ -295,15 +307,40 @@ def test_reduced_equalities_match_materialised_closure():
         assert got == brute_reduced_equalities(rep), rep
         if check_hc1(rep) and check_hc2(rep):
             admissible += 1
-            nontrivial = [
-                e
-                for e in to_equalities(rep)
-                if not (sum(e.vec) == 0 and e.rhs == lat.top)
-                and not (sum(e.vec) == 1 and e.vec[e.rhs] == 1)
-            ]
-            dropping += len(got) < len(nontrivial)
+            dropping += dropped(rep, got) > 0
     assert admissible >= 100
     assert dropping >= 10
+
+
+def test_reduced_equalities_of_closures_match_materialised_closure():
+    # Encodings sampled from the closure of a few pairs, so that many are
+    # bounded and monotone and several equalities entail one another: the
+    # oracle drops them in the spelled-out order, reduced_equalities in one
+    # order-free pass.
+    rng = random.Random(52)
+    lattices = [lat for lat in lattice_catalog() if 2 <= lat.m <= 4]
+    admissible = dropping = dropping_two = 0
+    for _ in range(300):
+        lat = rng.choice(lattices)
+        m = lat.m
+        pairs = [
+            (tuple(rng.randrange(3) for _ in range(m)), rng.randrange(m))
+            for _ in range(rng.randint(1, 3))
+        ]
+        closed = _monotone_closed_rep(lat, pairs)
+        xs = list(box(4 if m <= 3 else 3, m))
+        if rng.random() < 0.5:
+            xs = rng.sample(xs, len(xs) // 2)
+        rep = Rep(lat, m, [(x, closed(x)) for x in xs] + pairs)
+        got = reduced_equalities(rep)
+        assert got == brute_reduced_equalities(rep), rep
+        if check_hc1(rep) and check_hc2(rep):
+            admissible += 1
+            dropping += dropped(rep, got) > 0
+            dropping_two += dropped(rep, got) > 1
+    assert admissible >= 150
+    assert dropping >= 30
+    assert dropping_two >= 8
 
 
 def test_monotone_closure_evaluator_matches_materialised_closure():
