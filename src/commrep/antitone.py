@@ -157,8 +157,9 @@ class Rep(_PointSet):
 
     Evaluation asks a bitmap dominance index over the points which of them
     lie below the query; the index is built on the first evaluation that
-    misses the memo of values.  The meet profile, the sublevels and the
-    complement maxima of each distinct upset are computed once and kept.
+    misses the memo of values.  The meet profile, the sublevels, the
+    complement maxima of each distinct upset and the canonical
+    representation are computed once and kept.
     """
 
     def __init__(self, lattice: Lattice, dim: int, points: Iterable = ()):
@@ -177,6 +178,7 @@ class Rep(_PointSet):
         self._levels: dict[int, UpSet] = {}
         self._maxima: dict[UpSet, set[Vec]] = {}
         self._profile: dict[int, tuple[Vec, ...]] | None = None
+        self._canonical: Rep | None = None
 
     # -- evaluation ---------------------------------------------------------
 
@@ -260,7 +262,7 @@ class Rep(_PointSet):
                 if self.lattice.leq(mval, alpha)
                 for v in anti
             ]
-            self._levels[alpha] = UpSet.from_points(self.dim, pts)
+            self._levels[alpha] = UpSet._from_checked(self.dim, pts)
         return self._levels[alpha]
 
     def _maxima_outside(self, level: UpSet) -> set[Vec]:
@@ -276,11 +278,13 @@ class Rep(_PointSet):
         The minimal vectors attaining exactly alpha are the minimal vectors
         of the alpha-sublevel that do not already occur in the sublevel of
         an element covered by alpha.  The result represents the same
-        function and is a subset of its graph.
+        function and is a subset of its graph.  It is built once and kept.
         """
-        return _rep_from_level_minima(
-            self.lattice, self.dim, [self.sublevel(a) for a in range(self.lattice.m)]
-        )
+        if self._canonical is None:
+            self._canonical = _rep_from_level_minima(
+                self.lattice, self.dim, [self.sublevel(a) for a in range(self.lattice.m)]
+            )
+        return self._canonical
 
     def complete(self) -> "ExtRep":
         """A finite subset of the extended graph pinning the function uniquely.

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from .antitone import Rep
 from .upset import UpSet
-from .vectors import unit, vadd, vinf, vsub
+from .vectors import unit, vadd, vinf
 
 __all__ = [
     "admissibility_report",
@@ -55,7 +55,7 @@ def _hc1_witness(rep: Rep):
     _require_encoding(rep)
     lat = rep.lattice
     for j in range(lat.m):
-        v = rep.eval(unit(rep.dim, j))
+        v = rep._value_at(unit(rep.dim, j))
         if not lat.leq(v, j):
             return {
                 "property": "hc1",
@@ -78,8 +78,8 @@ def _hc2_witness(rep: Rep):
             for i in range(lat.m):
                 if i == j or not lat.leq(i, j):
                     continue
-                moved = vadd(vsub(b, unit(rep.dim, j)), unit(rep.dim, i))
-                v = rep.eval(moved)
+                moved = tuple(c - (t == j) + (t == i) for t, c in enumerate(b))
+                v = rep._value_at(moved)
                 if not lat.leq(v, beta):
                     return {
                         "property": "hc2",
@@ -104,15 +104,15 @@ def _hc8_witness(rep: Rep):
     lat = rep.lattice
     tops = set()
     for j in range(lat.m):
-        below = UpSet.from_points(
+        below = UpSet._from_checked(
             rep.dim, (g for c in lat.lower_covers(j) for g in rep.sublevel(c).gens)
         )
         tops |= rep._maxima_outside(below)
     for a, alpha in rep.canonical().points:
         for b in sorted({vinf(a, p) for p in tops}):
-            j = rep.eval(b)
-            nested = vadd(vsub(a, b), unit(rep.dim, j))
-            v = rep.eval(nested)
+            j = rep._value_at(b)
+            nested = tuple(x - y + (t == j) for t, (x, y) in enumerate(zip(a, b)))
+            v = rep._value_at(nested)
             if not lat.leq(v, alpha):
                 return {
                     "property": "hc8",
@@ -125,12 +125,14 @@ def _hc8_witness(rep: Rep):
     return None
 
 
-def _hc7_separator(rep: Rep, i: int, j: int, k: int, alpha: int):
+def _hc7_separator(shifted: list[UpSet], i: int, j: int, k: int):
     """A generator in just one of {x : F(x + e_k) <= alpha} and
-    {x : F(x + e_i) <= alpha and F(x + e_j) <= alpha}, or None."""
-    level = rep.sublevel(alpha)
-    ek = level.shift(unit(rep.dim, k))
-    both = level.shift(unit(rep.dim, i)) & level.shift(unit(rep.dim, j))
+    {x : F(x + e_i) <= alpha and F(x + e_j) <= alpha}, or None, where
+    shifted[t] is {x : F(x + e_t) <= alpha}."""
+    ek = shifted[k]
+    both = shifted[i] & shifted[j]
+    if ek.gens == both.gens:
+        return None  # sorted minimal antichains: the sets are equal
     for g in ek.gens + both.gens:
         if not (ek.member(g) and both.member(g)):
             return g
@@ -143,19 +145,24 @@ def _hc7_witness(rep: Rep):
     # sublevels do, and shifting by a unit vector turns a sublevel U into
     # {x : x + e in U}, while the join's sublevel is the intersection.
     # For i = j both sides are the same set, so those triples are skipped.
+    # Each sublevel is shifted once by each unit vector, for all pairs.
     _require_encoding(rep)
     lat = rep.lattice
+    shifts = [
+        [rep.sublevel(alpha).shift(unit(rep.dim, t)) for t in range(lat.m)]
+        for alpha in range(lat.m)
+    ]
     for i in range(lat.m):
         for j in range(i + 1, lat.m):
             k = lat.join(i, j)
             for alpha in range(lat.m):
-                x = _hc7_separator(rep, i, j, k, alpha)
+                x = _hc7_separator(shifts[alpha], i, j, k)
                 if x is None:
                     continue
-                lhs = rep.eval(vadd(x, unit(rep.dim, k)))
+                lhs = rep._value_at(vadd(x, unit(rep.dim, k)))
                 rhs = lat.join(
-                    rep.eval(vadd(x, unit(rep.dim, i))),
-                    rep.eval(vadd(x, unit(rep.dim, j))),
+                    rep._value_at(vadd(x, unit(rep.dim, i))),
+                    rep._value_at(vadd(x, unit(rep.dim, j))),
                 )
                 return {
                     "property": "hc7",

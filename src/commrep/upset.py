@@ -13,7 +13,7 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, Set
 
-from .vectors import INF, Vec, as_ext_vec, as_nat_vec, residual, vleq, vsup
+from .vectors import INF, Vec, as_ext_vec, as_nat_vec, vleq
 
 __all__ = ["UpSet", "max_elements", "min_elements"]
 
@@ -62,16 +62,16 @@ class UpSet:
     @classmethod
     def from_points(cls, dim: int, points: Iterable[Vec]) -> "UpSet":
         """Upward closure of an arbitrary finite set; keeps only minimal points."""
-        pts = {as_nat_vec(p, dim) for p in points}
-        return cls._trusted(dim, tuple(sorted(min_elements(pts))))
+        return cls._from_checked(dim, {as_nat_vec(p, dim) for p in points})
 
     @classmethod
-    def _trusted(cls, dim: int, gens: tuple[Vec, ...]) -> "UpSet":
-        # An instance from generators that are already a sorted antichain of
-        # checked vectors, skipping the checks of __post_init__.
+    def _from_checked(cls, dim: int, points: Iterable[Vec]) -> "UpSet":
+        # The upward closure of finite vectors of dimension dim that are
+        # already checked, skipping the checks of from_points and
+        # __post_init__.  The library's own upsets are built here.
         self = object.__new__(cls)
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "gens", gens)
+        object.__setattr__(self, "gens", tuple(sorted(min_elements(points))))
         return self
 
     @property
@@ -85,12 +85,12 @@ class UpSet:
 
     def union(self, other: "UpSet") -> "UpSet":
         self._compatible(other)
-        return UpSet.from_points(self.dim, self.gens + other.gens)
+        return UpSet._from_checked(self.dim, self.gens + other.gens)
 
     def intersection(self, other: "UpSet") -> "UpSet":
         self._compatible(other)
-        return UpSet.from_points(
-            self.dim, (vsup(a, b) for a in self.gens for b in other.gens)
+        return UpSet._from_checked(
+            self.dim, (tuple(map(max, a, b)) for a in self.gens for b in other.gens)
         )
 
     __or__ = union
@@ -99,7 +99,10 @@ class UpSet:
     def shift(self, a: Vec) -> "UpSet":
         """The set of x with x + a in this set."""
         a = as_nat_vec(a, self.dim)
-        return UpSet.from_points(self.dim, (residual(g, a) for g in self.gens))
+        return UpSet._from_checked(
+            self.dim,
+            (tuple(max(gi - ai, 0) for gi, ai in zip(g, a)) for g in self.gens),
+        )
 
     def complement_maxima(self) -> Set[Vec]:
         """Maximal elements of the complement within the INF-extended space.

@@ -37,6 +37,7 @@ from util import (
     brute_min_leq,
     brute_witness,
     coord_bound,
+    count_calls,
     hyperplane,
     lattice_catalog,
     random_ext_vec,
@@ -206,26 +207,13 @@ def test_complete_b_encoding(rep_b, known_h):
     assert check_complete(rep_b, known_h)
 
 
-def count_complement_maxima(monkeypatch) -> list:
-    """The upsets UpSet.complement_maxima is called on from now on."""
-    calls = []
-    original = UpSet.complement_maxima
-
-    def counting(self):
-        calls.append(self)
-        return original(self)
-
-    monkeypatch.setattr(UpSet, "complement_maxima", counting)
-    return calls
-
-
 @pytest.mark.parametrize("name", ["B", "B7"])
 def test_complement_maxima_are_computed_once_per_distinct_upset(monkeypatch, name):
     # complete(), check_complete and hc8 share one cache keyed by the upset:
     # the sublevels of 0, alpha and 1, and hc8's union of the lower-cover
     # sublevels of each element, which is empty for 0 and a sublevel else.
     lat, rep = example(name)
-    calls = count_complement_maxima(monkeypatch)
+    calls = count_calls(monkeypatch, UpSet, "complement_maxima")
     admissibility_report(rep)
     to_extended_equalities(rep)
     assert check_complete(rep, rep.complete())
@@ -242,7 +230,7 @@ def test_complement_maxima_are_computed_once_per_distinct_upset(monkeypatch, nam
 def test_equal_sublevels_share_their_complement_maxima(monkeypatch):
     # div52 takes no value below 1 or 13, so both sublevels are empty
     _, rep = example("div52")
-    calls = count_complement_maxima(monkeypatch)
+    calls = count_calls(monkeypatch, UpSet, "complement_maxima")
     rep.complete()
     assert rep.sublevel("1") == rep.sublevel("13")
     assert len(calls) == len({rep.sublevel(a) for a in range(rep.lattice.m)}) == 5

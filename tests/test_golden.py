@@ -4,8 +4,11 @@ Each case runs ``commrep.cli.main`` in process and pins its exit code and
 the sha256 of its standard output, so a change that alters one byte of a
 pinned output fails here.  The cases cover every command on the worked
 examples ``div52``, ``B`` and ``B7`` and on ``Bk``, which is ``B`` plus the
-point (0, 0, k) -> 0, in json and table format.  A digest is updated only
-for an intended change of output.
+point (0, 0, k) -> 0, in json and table format.  The property and
+equality commands are also pinned on the encodings in ``fixtures/``, each
+of which violates a property (hc1, hc2, hc7 or hc8), so their witnesses
+are pinned too.  A digest is updated only for an intended change of
+output.
 """
 
 import hashlib
@@ -21,6 +24,7 @@ from commrep.commutator import example
 from commrep.io import rep_to_doc
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 def _rep(name: str) -> Rep:
@@ -73,6 +77,21 @@ def _cli_digests(capsys, tmp_path, name, fmt):
         code, text = _run(capsys, argv + ["--format", fmt])
         out[key] = (code, _digest(text))
     return out
+
+
+def _failing_digests(capsys, name, fmt):
+    src = ["--rep", str(FIXTURES / f"{name}.json")]
+    cases = {
+        "props": ["props", *src],
+        "admissible": ["admissible", *src],
+        "to-equalities --reduced": ["to-equalities", "--reduced", *src],
+        "to-extended-equalities": ["to-extended-equalities", *src],
+    }
+    return {
+        key: (code, _digest(text))
+        for key, argv in cases.items()
+        for code, text in [_run(capsys, argv + ["--format", fmt])]
+    }
 
 
 # exit code and sha256 of stdout, per input, format and command
@@ -239,6 +258,62 @@ GOLDEN_CLI = {
     },
 }
 
+# the same for the encodings in fixtures/, found with the brute-force
+# oracles of util.py: bool4_diamond is unit(4, top) -> 0 over bool4 and
+# fails hc1, hc2 and hc7; fails_hc1 (bool4) fails hc1 alone; fails_hc2
+# (bool4) fails hc2 and hc7; fails_hc8 (n5) passes hc1 and hc2 and fails
+# hc7 and hc8
+GOLDEN_FAILING = {
+    ("bool4_diamond", "json"): {
+        "props": (0, "7bf861a806fe64e7a6e8e38e0bf591786ea21071736fd7f5ed57c7b5777c57bc"),
+        "admissible": (3, "6fb55211f86e30613ff052cf38e21514c69efcb4b2f65980dd69bce5aca0e411"),
+        "to-equalities --reduced": (0, "1ddebda0368e567492b83f2c64e42b32920fd81ab7c0fb2245e51c9f354283c6"),
+        "to-extended-equalities": (0, "41423b02e7370b75a9a25ae027c928d44d7dd71abe9c5d35b6c7cd1728e1d4bf"),
+    },
+    ("bool4_diamond", "table"): {
+        "props": (0, "c423920c338396a1042ce7078de5ae388e51f7ba13626c5830bba62707e429a4"),
+        "admissible": (3, "e761973430789d0d926710a38f529723bd605f6836668e3278f7fc231bb4e3ba"),
+        "to-equalities --reduced": (0, "e4642b6d2426a7a1d67aee005160f3d7600ecc5f1254deb4e3d528b5ad632722"),
+        "to-extended-equalities": (0, "2f2fb9a7a2bf0612bd137cb43d898627fab8afff4bad74e217c4f23e7c809118"),
+    },
+    ("fails_hc1", "json"): {
+        "props": (0, "261352fe22174256ce224745cfad669131dcc1a69c1b68d05863caa58ab47d76"),
+        "admissible": (3, "6fb55211f86e30613ff052cf38e21514c69efcb4b2f65980dd69bce5aca0e411"),
+        "to-equalities --reduced": (0, "e34103ccb81006f2d5c4299061066b8a222f6e2fb6e42e6a07c208bad0452626"),
+        "to-extended-equalities": (0, "6308b14470ff683bb139d46599038c70009b53b5d8ef5e55974300acbc9076e2"),
+    },
+    ("fails_hc1", "table"): {
+        "props": (0, "85bf5b224a0bea53a66c49f44de74baeed7cb5417ecbc430b1ef639e6ca74b13"),
+        "admissible": (3, "e761973430789d0d926710a38f529723bd605f6836668e3278f7fc231bb4e3ba"),
+        "to-equalities --reduced": (0, "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b"),
+        "to-extended-equalities": (0, "b8c58aa961c11a9de1d91ae7c8225df2c605b77254ae83bf99ed177f1492318b"),
+    },
+    ("fails_hc2", "json"): {
+        "props": (0, "31a1bf19a3cafeeba2fe2d0812c3d395cef31add3dd19813aae17670447261fd"),
+        "admissible": (3, "6fb55211f86e30613ff052cf38e21514c69efcb4b2f65980dd69bce5aca0e411"),
+        "to-equalities --reduced": (0, "86457cad08d0bbe0cd749dad7b43b11d427235ab7c04e3253bec797ada1f137c"),
+        "to-extended-equalities": (0, "19f0b7bf4988ec0ba62c41cd4ac571173125d11ba9e911f49a0b42f80f060b9a"),
+    },
+    ("fails_hc2", "table"): {
+        "props": (0, "b2a0c2c14a09ab63dfbbc85570b7a909a586a1f3d7cafe79359d8c48e70e2ed4"),
+        "admissible": (3, "e761973430789d0d926710a38f529723bd605f6836668e3278f7fc231bb4e3ba"),
+        "to-equalities --reduced": (0, "95c0a262b09c06ae5b97efad854d5ff16d143681410ab8141c2d09d1330c5fcf"),
+        "to-extended-equalities": (0, "a367d6239903e24ce418300dea20829a547235bfcd5070506f1da2cb8a322757"),
+    },
+    ("fails_hc8", "json"): {
+        "props": (0, "216da9bf1247a1198f1ddd7eec484ec34b439933207c4417f6e4dee61c69a7c8"),
+        "admissible": (3, "6fb55211f86e30613ff052cf38e21514c69efcb4b2f65980dd69bce5aca0e411"),
+        "to-equalities --reduced": (0, "1c2128914d74e6bcb0797f26ff9c92e77802981b083a4a46c5f2d7d174802dca"),
+        "to-extended-equalities": (0, "d1401972ce03e99165f67fe4b987ac3120b3c5245c63fc9e005f9d9d64d382a3"),
+    },
+    ("fails_hc8", "table"): {
+        "props": (0, "a8ff6fef002f644cf9f7b4b71f54b6aaa8ff4570236668bfb07174739b24bab5"),
+        "admissible": (3, "e761973430789d0d926710a38f529723bd605f6836668e3278f7fc231bb4e3ba"),
+        "to-equalities --reduced": (0, "74f52b7dd85b587207762ff5ba5ce3ec5be7e8672512791d2f4b8153133e5836"),
+        "to-extended-equalities": (0, "a1dd09c3f167c9e161f6c29eee837384e1cb20c472dac1f8a30bda5167ca86c1"),
+    },
+}
+
 GOLDEN_DEMOS = {
     "01_antitone_maps_and_representations.py": "467e7950cb2cf696603d57ad6f63fd60473a80fc7b811a2bb1e742fc236388ae",
     "02_commutator_sequences.py": "961b120a5cd7c808a71bd60b370dd97f52a690b46d36cb67fa1c14ec0f9c4e7f",
@@ -251,6 +326,12 @@ GOLDEN_DEMOS = {
 @pytest.mark.parametrize("name", ["div52", "B", "B7", "B10", "B1000"])
 def test_cli_outputs_are_pinned(capsys, tmp_path, name, fmt):
     assert _cli_digests(capsys, tmp_path, name, fmt) == GOLDEN_CLI[name, fmt]
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+@pytest.mark.parametrize("name", ["bool4_diamond", "fails_hc1", "fails_hc2", "fails_hc8"])
+def test_witness_outputs_are_pinned(capsys, name, fmt):
+    assert _failing_digests(capsys, name, fmt) == GOLDEN_FAILING[name, fmt]
 
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in DEMOS.glob("*.py")))

@@ -5,6 +5,7 @@ import pytest
 
 from commrep import (
     Rep,
+    antitone,
     admissibility_report,
     chain,
     check_hc1,
@@ -15,17 +16,22 @@ from commrep import (
     example,
     is_admissible,
     join_fn,
+    reduced_equalities,
+    to_equalities,
     unit,
     vadd,
     vleq,
     vsub,
 )
-from commrep.hc import _hc7_separator, _hc8_witness
+from commrep.hc import _hc7_separator, _hc7_witness, _hc8_witness
+from commrep.upset import UpSet
 
 from util import (
     bool4,
     brute_hc7_holds,
+    brute_hc7_witness,
     brute_hc8,
+    count_calls,
     random_ext_vec,
     random_rep,
     small_lattices,
@@ -162,9 +168,11 @@ def test_hc7_idempotent_triples_always_pass():
     for lat in small_lattices():
         for _ in range(5):
             rep = random_rep(rng, lat, lat.m, max_coord=3, max_points=4)
-            for i in range(lat.m):
-                for alpha in range(lat.m):
-                    assert _hc7_separator(rep, i, i, i, alpha) is None
+            for alpha in range(lat.m):
+                level = rep.sublevel(alpha)
+                shifted = [level.shift(unit(rep.dim, t)) for t in range(lat.m)]
+                for i in range(lat.m):
+                    assert _hc7_separator(shifted, i, i, i) is None
 
 
 def test_hc7_counterexample_on_diamond():
@@ -174,6 +182,60 @@ def test_hc7_counterexample_on_diamond():
     rep = Rep(lat, 4, [(unit(4, lat.top), "0")])
     assert not check_hc7(rep)
     assert not brute_hc7_holds(rep)
+
+
+def test_hc7_witness_matches_pairwise_shifts():
+    # Sharing one shift per (sublevel, unit vector) across all pairs, and
+    # skipping the member scan on equal generators, returns the witness
+    # the pair-by-pair search finds.  The last 200 of the first 1,200
+    # encodings are moved up by 2^60 in each nonzero coordinate.
+    rng = random.Random(15)
+    lattices = small_lattices(max_size=4)
+    seen = {(big, fails): 0 for big in (False, True) for fails in (False, True)}
+    for n in range(1200):
+        lat = rng.choice(lattices)
+        rep = random_rep(rng, lat, lat.m, max_coord=3, max_points=4)
+        if n >= 1000:
+            rep = Rep(lat, lat.m, [(tuple(c and c + BIG for c in v), e) for v, e in rep.points])
+        w = _hc7_witness(rep)
+        assert w == brute_hc7_witness(rep), rep
+        seen[n >= 1000, w is not None] += 1
+    # 516 fail and 484 pass, then 89 and 111 of the offset ones
+    assert seen[False, True] >= 400 and seen[False, False] >= 400, seen
+    assert seen[True, True] >= 60 and seen[True, False] >= 60, seen
+    # Which side is scanned first matters only when neither side contains
+    # the other, which needs incomparable i and j.  On bool4 with bottom's
+    # unit vector sent to 0 the pairs with bottom pass, so the atoms a and
+    # b, joining to top, give the witness (134 times in 300).
+    lat = bool4()
+    atoms = 0
+    for _ in range(300):
+        rep = random_rep(rng, lat, lat.m, max_coord=2, max_points=8)
+        rep = Rep(lat, lat.m, rep.points + ((unit(lat.m, lat.bottom), "0"),))
+        w = _hc7_witness(rep)
+        assert w == brute_hc7_witness(rep), rep
+        atoms += w is not None and w["joined"] == ("a", "b")
+    assert atoms >= 100, atoms
+
+
+def test_canonical_rep_is_built_once_per_rep(monkeypatch):
+    # admissibility_report (hc2, hc8), to_equalities and reduced_equalities
+    # (itself and its hc2 check) all ask for the canonical representation
+    _, rep = example("B")
+    calls = count_calls(monkeypatch, antitone, "_rep_from_level_minima")
+    canon = rep.canonical()
+    admissibility_report(rep)
+    to_equalities(rep)
+    reduced_equalities(rep)
+    assert len(calls) == 1
+    assert rep.canonical() is canon
+
+
+def test_hc7_shifts_each_sublevel_once_per_unit_vector(monkeypatch):
+    lat, rep = example("B")
+    calls = count_calls(monkeypatch, UpSet, "shift")
+    assert _hc7_witness(rep) is None
+    assert len(calls) == len(set(calls)) == lat.m**2 == 9
 
 
 def test_hc7_matches_box_comparison():

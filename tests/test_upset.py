@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from commrep import INF, UpSet
+from commrep import INF, Rep, UpSet, chain
 from commrep.upset import max_elements, min_elements
+from commrep.vectors import residual, vadd, vsup
 
 from util import (
     brute_complement_maxima,
@@ -61,17 +62,18 @@ def test_complement_maxima_examples():
 SIDE = {1: 9, 2: 6, 3: 5, 4: 4, 5: 3}
 
 
-def random_upset(rng) -> UpSet:
-    """Dimension 1-5, up to 8 generators; some sets empty, some holding
-    the zero generator."""
-    d = rng.randint(1, 5)
+def random_upset(rng, d=None, off=0) -> UpSet:
+    """Dimension 1-5 unless given, up to 8 generators; some sets empty,
+    some holding the zero generator.  ``off`` is added to every nonzero
+    coordinate."""
+    d = rng.randint(1, 5) if d is None else d
     pts = [
         tuple(rng.randrange(SIDE[d]) for _ in range(d))
         for _ in range(rng.randint(0, 8))
     ]
     if rng.random() < 0.05:
         pts.append((0,) * d)
-    return UpSet.from_points(d, pts)
+    return UpSet.from_points(d, [tuple(c and c + off for c in p) for p in pts])
 
 
 def test_complement_maxima_matches_brute_force():
@@ -156,6 +158,59 @@ def test_from_points_equals_direct_construction():
     assert built.gens == direct.gens and built.dim == direct.dim
     with pytest.raises(AttributeError):
         built.gens = ()
+
+
+BAD_VECTORS = {
+    "negative": ((-1, 0), "coordinates must be nonnegative, got -1"),
+    "inf": ((INF, 0), "bad coordinate inf"),
+    "bool": ((True, 0), "bad coordinate True"),
+    "dimension": ((1, 2, 3), "expected dimension 2, got 3"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_VECTORS))
+def test_public_entry_points_check_their_vectors(case):
+    vec, message = BAD_VECTORS[case]
+    u = UpSet.from_points(2, [(1, 2)])
+    rep = Rep(chain(3), 2, [((1, 2), 0)])
+    calls = {
+        "from_points": lambda: UpSet.from_points(2, [(0, 1), vec]),
+        "shift": lambda: u.shift(vec),
+        "UpSet": lambda: UpSet(2, (vec,)),
+        "eval": lambda: rep.eval(vec),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message, name
+
+
+def test_shift_union_intersection_match_brute_force():
+    # The operations build their results from vectors they computed
+    # themselves, without checking them again; the results are those of
+    # the definitions, also with every third pair moved up by 2^60.
+    rng = random.Random(16)
+    for n in range(300):
+        d = n % 5 + 1
+        off = 2**60 if n % 3 == 2 else 0
+        a, b = random_upset(rng, d, off), random_upset(rng, d, off)
+        # 0, INF and every coordinate next to a generator's: membership
+        # changes only between these values
+        axis = sorted(
+            {0, INF} | {c + t for g in a.gens + b.gens for c in g for t in (-1, 0, 1) if c + t >= 0}
+        )
+        s = tuple(rng.choice(axis[:-1]) for _ in range(d))
+        union, inter, shifted = a | b, a & b, a.shift(s)
+        assert union.gens == tuple(sorted(brute_min_elements(a.gens + b.gens)))
+        assert inter.gens == tuple(
+            sorted(brute_min_elements(vsup(x, y) for x in a.gens for y in b.gens))
+        )
+        assert shifted.gens == tuple(sorted(brute_min_elements(residual(g, s) for g in a.gens)))
+        for _ in range(20):
+            x = tuple(rng.choice(axis) for _ in range(d))
+            assert union.member(x) == (a.member(x) or b.member(x))
+            assert inter.member(x) == (a.member(x) and b.member(x))
+            assert shifted.member(x) == a.member(vadd(x, s))
 
 
 def test_dimension_mismatch():

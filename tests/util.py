@@ -18,7 +18,7 @@ from commrep import (
     equal_fn,
     to_equalities,
 )
-from commrep.vectors import unit, vadd, vleq, vsub, vsup, zero
+from commrep.vectors import residual, unit, vadd, vleq, vsub, vsup, zero
 
 
 def bool4() -> Lattice:
@@ -233,6 +233,52 @@ def brute_hc7_holds(rep: Rep) -> bool:
     return True
 
 
+def brute_hc7_separator(rep: Rep, i: int, j: int, k: int, alpha: int):
+    """A generator in just one of {x : F(x + e_k) <= alpha} and
+    {x : F(x + e_i) <= alpha and F(x + e_j) <= alpha}, or None, with every
+    shift and the intersection rebuilt through UpSet.from_points."""
+    level = rep.sublevel(alpha)
+
+    def shift(t):
+        e = unit(rep.dim, t)
+        return UpSet.from_points(rep.dim, (residual(g, e) for g in level.gens))
+
+    ek = shift(k)
+    si, sj = shift(i), shift(j)
+    both = UpSet.from_points(rep.dim, (vsup(a, b) for a in si.gens for b in sj.gens))
+    for g in ek.gens + both.gens:
+        if not (ek.member(g) and both.member(g)):
+            return g
+    return None
+
+
+def brute_hc7_witness(rep: Rep):
+    """The first hc7 counterexample, searched pair by pair with the shifts
+    of each pair computed afresh, or None."""
+    lat = rep.lattice
+    for i in range(lat.m):
+        for j in range(i + 1, lat.m):
+            k = lat.join(i, j)
+            for alpha in range(lat.m):
+                x = brute_hc7_separator(rep, i, j, k, alpha)
+                if x is None:
+                    continue
+                lhs = rep.eval(vadd(x, unit(rep.dim, k)))
+                rhs = lat.join(
+                    rep.eval(vadd(x, unit(rep.dim, i))),
+                    rep.eval(vadd(x, unit(rep.dim, j))),
+                )
+                return {
+                    "property": "hc7",
+                    "joined": (lat.name(i), lat.name(j)),
+                    "join": lat.name(k),
+                    "point": x,
+                    "value_at_join": lat.name(lhs),
+                    "join_of_values": lat.name(rhs),
+                }
+    return None
+
+
 def brute_hc8(rep: Rep):
     """The first hc8 counterexample, scanning every b in the box below each
     canonical point a and nesting eval(b) back in place of b, or None."""
@@ -252,6 +298,19 @@ def brute_hc8(rep: Rep):
                     "bound": lat.name(alpha),
                 }
     return None
+
+
+def count_calls(monkeypatch, owner, name) -> list:
+    """The arguments of every call of owner.name from now on."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
 
 
 def graph_sample(rep: Rep, bound: int | None = None):
