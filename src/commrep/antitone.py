@@ -158,8 +158,9 @@ class Rep(_PointSet):
     Evaluation asks a bitmap dominance index over the points which of them
     lie below the query; the index is built on the first evaluation that
     misses the memo of values.  The meet profile, the sublevels, the
-    complement maxima of each distinct upset and the canonical
-    representation are computed once and kept.
+    complement maxima of each distinct upset, the canonical
+    representation and the hc1 and hc2 witnesses of :mod:`commrep.hc` are
+    computed once and kept.
     """
 
     def __init__(self, lattice: Lattice, dim: int, points: Iterable = ()):
@@ -179,6 +180,7 @@ class Rep(_PointSet):
         self._maxima: dict[UpSet, set[Vec]] = {}
         self._profile: dict[int, tuple[Vec, ...]] | None = None
         self._canonical: Rep | None = None
+        self._witnesses: dict[str, dict | None] = {}
 
     # -- evaluation ---------------------------------------------------------
 
@@ -251,18 +253,23 @@ class Rep(_PointSet):
 
         A minimal solution is always the supremum of the prescribed vectors
         lying below it, so the minimal generators are found among subset
-        suprema whose value meet drops below alpha.
+        suprema whose value meet drops below alpha: the union of the meet
+        profile's antichains at values at or below alpha.  When just one
+        antichain lies there it is the sublevel's generator set as it is,
+        sorted and minimal; only a union of several is minimised again.
         """
         alpha = self.lattice.resolve(alpha)
         if alpha not in self._levels:
-            prof = self._meet_profile()
-            pts = [
-                v
-                for mval, anti in prof.items()
+            parts = [
+                anti
+                for mval, anti in self._meet_profile().items()
                 if self.lattice.leq(mval, alpha)
-                for v in anti
             ]
-            self._levels[alpha] = UpSet._from_checked(self.dim, pts)
+            if len(parts) == 1:
+                level = UpSet._from_antichain(self.dim, parts[0])
+            else:
+                level = UpSet._from_checked(self.dim, (v for anti in parts for v in anti))
+            self._levels[alpha] = level
         return self._levels[alpha]
 
     def _maxima_outside(self, level: UpSet) -> set[Vec]:
@@ -292,7 +299,10 @@ class Rep(_PointSet):
         For every lattice element the minimal vectors of its sublevel and
         the maximal vectors outside it are collected; exactly one antitone
         function passes through the resulting evaluated point set, which
-        :func:`check_complete` accepts.
+        :func:`check_complete` accepts.  The sublevels and their complement
+        maxima are the ones the rep keeps.  The points are checked vectors
+        with element indices and one value per vector, so the result is
+        built without the coercion of the :class:`ExtRep` constructor.
         """
         pts: dict[Vec, int] = {}
         for a in range(self.lattice.m):
@@ -301,7 +311,7 @@ class Rep(_PointSet):
                 pts.setdefault(vec, self._value_at(vec))
             for vec in self._maxima_outside(level):
                 pts.setdefault(vec, self._value_at(vec))
-        return ExtRep(self.lattice, self.dim, sorted(pts.items()))
+        return ExtRep._from_checked(self.lattice, self.dim, sorted(pts.items()))
 
     # -- properties of the represented function ------------------------------
 
@@ -349,6 +359,16 @@ class ExtRep(_PointSet):
         self.dim = dim
         self.points: tuple[tuple[Vec, int], ...] = tuple(sorted(seen.items()))
 
+    @classmethod
+    def _from_checked(cls, lattice: Lattice, dim: int, points: Sequence) -> "ExtRep":
+        # points must be sorted (extended vector, element index) pairs with
+        # distinct, already checked vectors of dimension dim.
+        self = object.__new__(cls)
+        self.lattice = lattice
+        self.dim = dim
+        self.points = tuple(points)
+        return self
+
 
 def check_complete(rep: Rep, ext: ExtRep) -> bool:
     """Decide whether ``ext`` pins down the function of ``rep`` uniquely.
@@ -359,6 +379,8 @@ def check_complete(rep: Rep, ext: ExtRep) -> bool:
     join of ``ext`` values at points above each maximal complement vector
     does not drop below alpha.
 
+    The points of ``ext`` are already checked by the :class:`ExtRep`
+    constructor, so step (i) evaluates them without coercing them again.
     The points of ``ext`` below and above each query come from two
     dominance indexes over ``ext.points``; the sublevels and their
     complement maxima are the ones ``rep`` keeps for :meth:`Rep.complete`.
@@ -366,7 +388,7 @@ def check_complete(rep: Rep, ext: ExtRep) -> bool:
     rep._compatible(ext)
     lat = rep.lattice
     for vec, val in ext.points:
-        if rep.eval_ext(vec) != val:
+        if rep._value_at(vec) != val:
             return False
     below = _Below(ext.points)
     above = _Below([(_neg(v), e) for v, e in ext.points])

@@ -50,6 +50,14 @@ def _require_encoding(rep: Rep) -> None:
         )
 
 
+def _decided(rep: Rep, prop: str, find):
+    # The witness of hc1 or hc2 (None when it holds), found once per Rep
+    # and kept with its other derived objects; do not mutate.
+    if prop not in rep._witnesses:
+        rep._witnesses[prop] = find(rep)
+    return rep._witnesses[prop]
+
+
 def _hc1_witness(rep: Rep):
     # By antitony a violation, if any, already shows at a unit vector.
     _require_encoding(rep)
@@ -177,13 +185,13 @@ def _hc7_witness(rep: Rep):
 
 def check_hc1(rep: Rep) -> bool:
     """Boundedness: the value at each unit vector lies below its element."""
-    return _hc1_witness(rep) is None
+    return _decided(rep, "hc1", _hc1_witness) is None
 
 
 def check_hc2(rep: Rep) -> bool:
     """Monotony: replacing an occurrence by a smaller element never raises
     the value.  Checked on the canonical representation."""
-    return _hc2_witness(rep) is None
+    return _decided(rep, "hc2", _hc2_witness) is None
 
 
 def check_hc7(rep: Rep) -> bool:
@@ -206,11 +214,15 @@ def is_admissible(rep: Rep) -> bool:
     return check_hc7(rep) and _hc8_witness(rep) is None
 
 
+def _copy(witness):
+    return None if witness is None else dict(witness)
+
+
 def admissibility_report(rep: Rep) -> dict:
     """Per-property outcome with a first counterexample witness when false."""
     report: dict = {}
-    w1 = _hc1_witness(rep)
-    w2 = _hc2_witness(rep)
+    w1 = _copy(_decided(rep, "hc1", _hc1_witness))
+    w2 = _copy(_decided(rep, "hc2", _hc2_witness))
     w7 = _hc7_witness(rep)
     report["hc1"] = {"holds": w1 is None, "witness": w1}
     report["hc2"] = {"holds": w2 is None, "witness": w2}

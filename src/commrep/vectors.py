@@ -98,7 +98,7 @@ def vsub(a: Vec, b: Vec) -> Vec:
     _samedim(a, b)
     out = []
     for x, y in zip(a, b):
-        if math.isinf(x):
+        if isinstance(x, float) and math.isinf(x):  # ints may exceed any float
             out.append(INF)
         elif y > x:
             raise ValueError(f"cannot subtract: {b} is not below {a}")

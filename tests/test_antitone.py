@@ -277,6 +277,9 @@ def test_index_matches_scans_on_seeded_reps():
     # coordinates included), witnesses, check_complete on the complete set
     # and on it with one point dropped, and the value-grouped meet profile
     # against the point-by-point fold; every third rep is offset by 2^60.
+    # Each sublevel is the upward closure of the profile antichains at or
+    # below its value, and complete() equals its points passed through
+    # the public ExtRep constructor.
     rng = random.Random(11)
     lattices = lattice_catalog()
     verdicts = {True: 0, False: 0}
@@ -292,7 +295,12 @@ def test_index_matches_scans_on_seeded_reps():
             assert rep.eval_ext(x) == brute_eval(rep, x)
             assert rep.witness(x) == brute_witness(rep, x)
         assert rep._meet_profile() == brute_meet_profile(rep)
+        for a in range(lat.m):
+            union = [v for mval, anti in rep._meet_profile().items()
+                     if lat.leq(mval, a) for v in anti]
+            assert rep.sublevel(a) == UpSet.from_points(d, union)
         comp = rep.complete()
+        assert comp == ExtRep(lat, d, comp.points)
         assert check_complete(rep, comp) and brute_check_complete(rep, comp)
         if comp.points:
             drop = rng.randrange(len(comp.points))

@@ -7,8 +7,9 @@ examples ``div52``, ``B`` and ``B7`` and on ``Bk``, which is ``B`` plus the
 point (0, 0, k) -> 0, in json and table format.  The property and
 equality commands are also pinned on the encodings in ``fixtures/``, each
 of which violates a property (hc1, hc2, hc7 or hc8), so their witnesses
-are pinned too.  A digest is updated only for an intended change of
-output.
+are pinned too.  The representation commands are pinned on hyperplane
+antichains in two to four dimensions and on one moved up by 2^60.  A
+digest is updated only for an intended change of output.
 """
 
 import hashlib
@@ -18,10 +19,11 @@ from pathlib import Path
 
 import pytest
 
-from commrep import Rep
+from commrep import Rep, chain
 from commrep.cli import main
 from commrep.commutator import example
 from commrep.io import rep_to_doc
+from util import hyperplane
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -77,6 +79,36 @@ def _cli_digests(capsys, tmp_path, name, fmt):
         code, text = _run(capsys, argv + ["--format", fmt])
         out[key] = (code, _digest(text))
     return out
+
+
+def _hyperplane_rep(name: str) -> Rep:
+    # "hd-s": hyperplane(d, s) -> 0 over the 2-chain; "hd-s+2^60": the
+    # same points moved up by 2^60, valued 0 or 1 in the 3-chain by parity
+    shape, _, moved = name.partition("+")
+    d, s = map(int, shape[1:].split("-"))
+    if not moved:
+        return Rep(chain(2), d, [(x, 0) for x in hyperplane(d, s)])
+    return Rep(chain(3), d, [
+        (tuple(c + 2**60 for c in x), i % 2) for i, x in enumerate(hyperplane(d, s))
+    ])
+
+
+def _hyperplane_digests(capsys, tmp_path, name, fmt):
+    rep_path = tmp_path / "rep.json"
+    rep_path.write_text(json.dumps(rep_to_doc(_hyperplane_rep(name))))
+    src = ["--rep", str(rep_path)]
+    ext_path = tmp_path / "ext.json"
+    ext_path.write_text(_run(capsys, ["complete", *src])[1])
+    cases = {
+        "canonical": ["canonical", *src],
+        "complete": ["complete", *src],
+        "check-complete": ["check-complete", *src, "--extrep", str(ext_path)],
+    }
+    return {
+        key: (code, _digest(text))
+        for key, argv in cases.items()
+        for code, text in [_run(capsys, argv + ["--format", fmt])]
+    }
 
 
 def _failing_digests(capsys, name, fmt):
@@ -314,6 +346,50 @@ GOLDEN_FAILING = {
     },
 }
 
+# the same for the representation commands on hyperplane antichains
+GOLDEN_HYPERPLANE = {
+    ("h2-9", "json"): {
+        "canonical": (0, "3dbb7a8840f5f8f9173420b51a8a66434cf120a938e57d98f749bd1988629743"),
+        "complete": (0, "3dbaef50c7880d1f9ccb39dd487d800fc13d20d199a142675d10c86dfde1771d"),
+        "check-complete": (0, "ad1ed6243ea081e7d97d9e7bf7443870a40e1ea693c6c7fb4a35354451f1de93"),
+    },
+    ("h2-9", "table"): {
+        "canonical": (0, "0cd6b0030fb5c1250dd13c39415b515ff17d4c43d25dc9cef5c8700e146d28a0"),
+        "complete": (0, "da53d1f622ea5f6c55e3a03af34e9fed3854e3b9ecf8f87b630ce70bdf449f70"),
+        "check-complete": (0, "70601edaa751e402eb3c0e8066abc5ad3539f4a1508d89daa842762b093a3203"),
+    },
+    ("h3-6", "json"): {
+        "canonical": (0, "fea27462beb2d4ed3f788767c49754500274444a9dc2d98ba69ab502bb7292ce"),
+        "complete": (0, "cf4c8d71513fcee60b30ce90c237c569a1130ec6e6b26d51e569c6d0ad1df355"),
+        "check-complete": (0, "ad1ed6243ea081e7d97d9e7bf7443870a40e1ea693c6c7fb4a35354451f1de93"),
+    },
+    ("h3-6", "table"): {
+        "canonical": (0, "fb63636a091f4ebafbf1c28a16852435b4a23b072bd509760dead13c26998ad2"),
+        "complete": (0, "d8535edb6841be55267cdf26cb94ff693cac62c093b817bec9d1cc2c1477f5fe"),
+        "check-complete": (0, "70601edaa751e402eb3c0e8066abc5ad3539f4a1508d89daa842762b093a3203"),
+    },
+    ("h4-4", "json"): {
+        "canonical": (0, "786f5e25d8f58edf9bc99f248c71902c2da0683f83b81667591b3fb597aeacda"),
+        "complete": (0, "dde7b26dc170f5100521034cdc2081b03cc941b1f69636845f7aaedc3d8196bc"),
+        "check-complete": (0, "ad1ed6243ea081e7d97d9e7bf7443870a40e1ea693c6c7fb4a35354451f1de93"),
+    },
+    ("h4-4", "table"): {
+        "canonical": (0, "299e25fc7826b7f777e2338d7e8a48059d50983c4dd935c9180eadcf0b0e6657"),
+        "complete": (0, "7d4faa37901086cc06684b196b1aff7564dfa2726e2422c005c68d34609659ec"),
+        "check-complete": (0, "70601edaa751e402eb3c0e8066abc5ad3539f4a1508d89daa842762b093a3203"),
+    },
+    ("h3-4+2^60", "json"): {
+        "canonical": (0, "d6443769d0cf4ef0f86a1791a5114900f5cd2f2ab4b504dbc93ef30bac2fadbb"),
+        "complete": (0, "3c08be88708fc37da6cc920add680e0ec3661ca22c902ce4eb08c6361b8103af"),
+        "check-complete": (0, "ad1ed6243ea081e7d97d9e7bf7443870a40e1ea693c6c7fb4a35354451f1de93"),
+    },
+    ("h3-4+2^60", "table"): {
+        "canonical": (0, "215a544d04b71e1016813199e9bc624075a788f88807ebf28d0bf49d1c6c362a"),
+        "complete": (0, "b504da3b3efbba780eb785c48948f4fe6942156eefee0f70dc1653e7cd75a72b"),
+        "check-complete": (0, "70601edaa751e402eb3c0e8066abc5ad3539f4a1508d89daa842762b093a3203"),
+    },
+}
+
 GOLDEN_DEMOS = {
     "01_antitone_maps_and_representations.py": "467e7950cb2cf696603d57ad6f63fd60473a80fc7b811a2bb1e742fc236388ae",
     "02_commutator_sequences.py": "961b120a5cd7c808a71bd60b370dd97f52a690b46d36cb67fa1c14ec0f9c4e7f",
@@ -326,6 +402,12 @@ GOLDEN_DEMOS = {
 @pytest.mark.parametrize("name", ["div52", "B", "B7", "B10", "B1000"])
 def test_cli_outputs_are_pinned(capsys, tmp_path, name, fmt):
     assert _cli_digests(capsys, tmp_path, name, fmt) == GOLDEN_CLI[name, fmt]
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+@pytest.mark.parametrize("name", ["h2-9", "h3-6", "h4-4", "h3-4+2^60"])
+def test_hyperplane_outputs_are_pinned(capsys, tmp_path, name, fmt):
+    assert _hyperplane_digests(capsys, tmp_path, name, fmt) == GOLDEN_HYPERPLANE[name, fmt]
 
 
 @pytest.mark.parametrize("fmt", ["json", "table"])

@@ -7,6 +7,7 @@ from commrep import (
     Rep,
     antitone,
     admissibility_report,
+    hc,
     chain,
     check_hc1,
     check_hc2,
@@ -229,6 +230,21 @@ def test_canonical_rep_is_built_once_per_rep(monkeypatch):
     reduced_equalities(rep)
     assert len(calls) == 1
     assert rep.canonical() is canon
+
+
+def test_hc1_and_hc2_are_decided_once_per_rep(monkeypatch):
+    # reduced_equalities checks hc1 and hc2 on a rep whose
+    # admissibility_report has already decided both
+    _, rep = example("B")
+    hc1 = count_calls(monkeypatch, hc, "_hc1_witness")
+    hc2 = count_calls(monkeypatch, hc, "_hc2_witness")
+    report = admissibility_report(rep)
+    to_equalities(rep)
+    reduced_equalities(rep)
+    assert len(hc1) == len(hc2) == 1
+    assert check_hc1(rep) and check_hc2(rep) and is_admissible(rep)
+    assert len(hc1) == len(hc2) == 1
+    assert admissibility_report(rep) == report
 
 
 def test_hc7_shifts_each_sublevel_once_per_unit_vector(monkeypatch):

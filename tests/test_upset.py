@@ -1,11 +1,17 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 import time
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import commrep
 from commrep import INF, Rep, UpSet, chain
 from commrep.upset import max_elements, min_elements
 from commrep.vectors import residual, vadd, vsup
@@ -15,6 +21,7 @@ from util import (
     brute_max_elements,
     brute_min_elements,
     hyperplane,
+    scan_complement_maxima,
 )
 
 dim = st.shared(st.integers(min_value=1, max_value=3), key="d")
@@ -122,6 +129,93 @@ def test_complement_maxima_hyperplane_closed_form():
     assert maxima == set(hyperplane(6, 7))
     assert len(maxima) == 792
     assert elapsed < 2.0, elapsed
+
+
+# (low, high) sums of the generators per dimension, and at most this many
+# of them: wide antichains whose maxima stay few enough for the scan
+WIDE_SUMS = {2: (300, 600), 3: (25, 40), 4: (10, 14), 5: (6, 9), 6: (5, 7), 7: (4, 6)}
+WIDE_COUNT = {2: 500, 3: 500, 4: 300, 5: 120, 6: 60, 7: 40}
+
+
+def wide_antichain(rng, d: int) -> UpSet:
+    # random compositions of s or s + 1 into d parts: the sum-s points are
+    # pairwise incomparable, and a sum-(s + 1) point only lies above
+    # sum-s points one unit below it
+    s = rng.randrange(*WIDE_SUMS[d])
+    pts = []
+    for _ in range(rng.randrange(1, WIDE_COUNT[d] + 1)):
+        cuts = sorted(rng.randrange(s + 2) for _ in range(d - 1))
+        total = s + rng.randrange(2)
+        cuts = [min(c, total) for c in cuts]
+        pts.append(tuple(b - a for a, b in zip([0] + cuts, cuts + [total])))
+    return UpSet.from_points(d, pts)
+
+
+def test_complement_maxima_matches_scan_kernel():
+    # The bitmask kernel against the list-scan kernel it replaced, on wide
+    # antichains in two to seven dimensions, every third moved up by 2^60.
+    rng = random.Random(14)
+    widest = 0
+    for case in range(90):
+        d = 2 + case % 6
+        u = wide_antichain(rng, d)
+        if case % 3 == 0:
+            u = UpSet.from_points(d, [tuple(c + 2**60 for c in g) for g in u.gens])
+        assert u.complement_maxima() == scan_complement_maxima(u), u
+        widest = max(widest, len(u.gens))
+    assert widest >= 250, widest
+
+
+def test_complement_maxima_hyperplane_in_eight_dimensions():
+    # hyperplane() lists the points in order: a sorted antichain
+    u = UpSet._from_antichain(8, tuple(hyperplane(8, 8)))
+    start = time.perf_counter()
+    maxima = u.complement_maxima()
+    elapsed = time.perf_counter() - start
+    assert maxima == set(hyperplane(8, 7))
+    assert len(maxima) == 3432
+    assert elapsed < 2.0, elapsed
+
+
+# Peak RSS the kernel may add in the run below, in MB: the masks take
+# about 9 MB there, and about 17 MB when removed maxima keep their bits
+# instead of handing them on.
+MAXIMA_RSS_MB = 13
+
+
+def test_complement_maxima_memory_is_bounded():
+    # 4,000 generators in three dimensions with distinct coordinates near
+    # 2^62 (x rising, y falling: an antichain), 8,001 maxima, in a
+    # subprocess so that the peak RSS is the kernel's own.
+    script = textwrap.dedent(f"""
+        import random, resource, time
+        from commrep import UpSet
+        from util import scan_complement_maxima
+        rng = random.Random(14)
+        n, base = 4000, 2**62
+        xs = sorted(rng.sample(range(2**40), n))
+        ys = sorted(rng.sample(range(2**40), n), reverse=True)
+        zs = rng.sample(range(2**40), n)
+        u = UpSet._from_antichain(
+            3, tuple((base + x, base + y, base + z) for x, y, z in zip(xs, ys, zs)))
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024
+        start = time.perf_counter()
+        maxima = u.complement_maxima()
+        elapsed = time.perf_counter() - start
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024
+        assert len(maxima) == 2 * n + 1, len(maxima)
+        assert peak - before < {MAXIMA_RSS_MB}, f"{{peak - before}} MB above {{before}} MB"
+        assert elapsed < 5, f"{{elapsed:.2f}} s"
+        small = UpSet._from_antichain(3, u.gens[::10])
+        assert small.complement_maxima() == scan_complement_maxima(small)
+    """)
+    tests = str(Path(__file__).resolve().parent)
+    src = str(Path(commrep.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, tests])}
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_complement_maxima_is_antichain_outside():

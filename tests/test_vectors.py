@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 
 from commrep import (
     INF,
+    Rep,
     as_ext_vec,
+    chain,
     as_nat_vec,
     is_finite_vec,
     residual,
@@ -64,6 +66,24 @@ def test_coercion():
     assert as_ext_vec([1, INF]) == (1, INF)
     with pytest.raises(ValueError, match="dimension"):
         as_ext_vec([1], dim=2)
+
+
+def test_huge_finite_coordinates_subtract_exactly():
+    # 2^1100 is an int beyond every float; only INF coordinates stay INF
+    big = 2**1100
+    assert vsub((big,), (1,)) == (big - 1,)
+    assert vsub((big, INF), (big, 3)) == (0, INF)
+    assert vsub((INF, big), (INF, big - 5)) == (INF, 5)
+    with pytest.raises(ValueError, match="subtract"):
+        vsub((big,), (big + 1,))
+    with pytest.raises(ValueError, match="subtract"):
+        vsub((big,), (INF,))
+    assert residual((big, 7), (1, INF)) == (big - 1, 0)
+    assert residual((INF, big), (big, big + 1)) == (INF, 0)
+    rep = Rep(chain(3), 2, [((big, 2), 1), ((3, big + 4), 0)])
+    moved = rep.shifted((5, 1))
+    assert moved.points == (((0, big + 3), 0), ((big - 5, 1), 1))
+    assert moved.eval((big, 1)) == 1 == rep.eval((big + 5, 2))
 
 
 def test_is_finite_vec():

@@ -4,6 +4,7 @@ brute-force oracles that recompute results by direct scanning."""
 from __future__ import annotations
 
 import math
+import operator
 from itertools import product
 
 from commrep import (
@@ -18,6 +19,7 @@ from commrep import (
     equal_fn,
     to_equalities,
 )
+from commrep.upset import max_elements
 from commrep.vectors import residual, unit, vadd, vleq, vsub, vsup, zero
 
 
@@ -93,8 +95,10 @@ def coord_bound(rep: Rep) -> int:
 
 
 def hyperplane(dim: int, total: int) -> list:
-    """The antichain {x in N^dim : sum x = total}."""
-    return [x for x in box(total, dim) if sum(x) == total]
+    """The antichain {x in N^dim : sum x = total}, sorted."""
+    if dim == 1:
+        return [(total,)]
+    return [(c,) + x for c in range(total + 1) for x in hyperplane(dim - 1, total - c)]
 
 
 def box(bound: int, dim: int):
@@ -213,6 +217,27 @@ def brute_complement_maxima(upset: UpSet, bound: int | None = None) -> set:
         if ok:
             out.add(p)
     return out
+
+
+def scan_complement_maxima(upset: UpSet) -> set:
+    """The maxima outside the set by adding one generator at a time, with
+    list scans for the maxima above it and for the near ones (the kernel
+    that the bitmask form of ``UpSet.complement_maxima`` replaced)."""
+    maxima = [(INF,) * upset.dim]
+    for g in upset.gens:
+        above, kept = [], []
+        for p in maxima:
+            (above if all(map(operator.le, g, p)) else kept).append(p)
+        for i, c in enumerate(g):
+            if c == 0:
+                continue
+            near = [r for r in kept if r[i] == c - 1]
+            split = (p[:i] + (c - 1,) + p[i + 1 :] for p in above)
+            kept.extend(max_elements(
+                q for q in split if not any(all(map(operator.le, q, r)) for r in near)
+            ))
+        maxima = kept
+    return set(maxima)
 
 
 def brute_hc7_holds(rep: Rep) -> bool:
