@@ -171,9 +171,21 @@ class Rep(_PointSet):
             v = as_nat_vec(vec, dim)
             e = lattice.resolve(val)
             merged[v] = lattice.meet(merged[v], e) if v in merged else e
+        self._setup(lattice, dim, sorted(merged.items()))
+
+    @classmethod
+    def _from_checked(cls, lattice: Lattice, dim: int, points: Sequence) -> "Rep":
+        # points must be sorted (vector, element index) pairs with distinct,
+        # already checked finite vectors of dimension dim.
+        self = object.__new__(cls)
+        self._setup(lattice, dim, points)
+        return self
+
+    def _setup(self, lattice: Lattice, dim: int, points: Sequence) -> None:
+        # the one place that sets a Rep's attributes, its caches empty
         self.lattice = lattice
         self.dim = dim
-        self.points: tuple[tuple[Vec, int], ...] = tuple(sorted(merged.items()))
+        self.points: tuple[tuple[Vec, int], ...] = tuple(points)
         self._values: dict[Vec, int] = {}
         self._index: _Below | None = None
         self._levels: dict[int, UpSet] = {}
@@ -285,7 +297,9 @@ class Rep(_PointSet):
         The minimal vectors attaining exactly alpha are the minimal vectors
         of the alpha-sublevel that do not already occur in the sublevel of
         an element covered by alpha.  The result represents the same
-        function and is a subset of its graph.  It is built once and kept.
+        function and is a subset of its graph.  It is built once and kept,
+        from the sublevel generators as they are, without the coercion of
+        the :class:`Rep` constructor.
         """
         if self._canonical is None:
             self._canonical = _rep_from_level_minima(
@@ -381,24 +395,35 @@ def check_complete(rep: Rep, ext: ExtRep) -> bool:
 
     The points of ``ext`` are already checked by the :class:`ExtRep`
     constructor, so step (i) evaluates them without coercing them again.
-    The points of ``ext`` below and above each query come from two
-    dominance indexes over ``ext.points``; the sublevels and their
-    complement maxima are the ones ``rep`` keeps for :meth:`Rep.complete`.
+    Once (i) holds, every point of ``ext`` carries F's value, so a critical
+    point b that ``ext`` holds settles (ii) at b by itself: below a minimal
+    vector b of the alpha-sublevel the meet is at most F(b) <= alpha, and
+    above a maximal vector b outside it the join is at least F(b), which
+    is not <= alpha.  The points of ``ext`` below and above each other
+    query come from two dominance indexes over ``ext.points``, each built
+    at the first critical point that ``ext`` lacks; the sublevels and
+    their complement maxima are the ones ``rep`` keeps for
+    :meth:`Rep.complete`.
     """
     rep._compatible(ext)
     lat = rep.lattice
     for vec, val in ext.points:
         if rep._value_at(vec) != val:
             return False
-    below = _Below(ext.points)
-    above = _Below([(_neg(v), e) for v, e in ext.points])
+    held = dict(ext.points)
+    below = above = None
     for a in range(lat.m):
-        for b in rep.sublevel(a).gens:
-            if not lat.leq(lat.big_meet(below.values(b)), a):
-                return False
-        for b in rep._maxima_outside(rep.sublevel(a)):
-            if lat.leq(lat.big_join(above.values(_neg(b))), a):
-                return False
+        level = rep.sublevel(a)
+        for b in level.gens:
+            if b not in held:
+                below = below or _Below(ext.points)
+                if not lat.leq(lat.big_meet(below.values(b)), a):
+                    return False
+        for b in rep._maxima_outside(level):
+            if b not in held:
+                above = above or _Below([(_neg(v), e) for v, e in ext.points])
+                if lat.leq(lat.big_join(above.values(_neg(b))), a):
+                    return False
     return True
 
 
@@ -444,11 +469,13 @@ def _rep_from_level_minima(
 ) -> Rep:
     # levels[a] must be the a-sublevel of an antitone function; the minimal
     # vectors attaining exactly a are levels[a].gens minus the generators of
-    # the sublevels of the lower covers of a.
+    # the sublevels of the lower covers of a.  So each vector occurs under
+    # one value, its own, and the generators are checked finite vectors.
     pts = []
     for a in range(lattice.m):
         gens = set(levels[a].gens)
         for b in lattice.lower_covers(a):
             gens -= set(levels[b].gens)
         pts.extend((v, a) for v in gens)
-    return Rep(lattice, dim, pts)
+    pts.sort()
+    return Rep._from_checked(lattice, dim, pts)

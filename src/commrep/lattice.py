@@ -52,14 +52,20 @@ def _rows(table, m: int, what: str) -> list[list]:
 
 def _as_table(table, m: int, label: str) -> Table:
     rows = _rows(table, m, f"{label} table")
-    if not all(isinstance(x, Integral) and not isinstance(x, bool) for r in rows for x in r):
+    if not all(
+        type(x) is int or (isinstance(x, Integral) and not isinstance(x, bool))
+        for r in rows
+        for x in r
+    ):
         raise LatticeError(f"{label} table must contain element indices")
-    for a, b in product(range(m), range(m)):
-        if not 0 <= rows[a][b] < m:
-            raise LatticeError(
-                f"{label} table entry at {(a, b)} is out of range 0..{m - 1}"
-            )
-    return tuple(tuple(int(x) for x in r) for r in rows)
+    out = tuple(tuple(map(int, r)) for r in rows)
+    for a, row in enumerate(out):
+        for b, x in enumerate(row):
+            if not 0 <= x < m:
+                raise LatticeError(
+                    f"{label} table entry at {(a, b)} is out of range 0..{m - 1}"
+                )
+    return out
 
 
 class Lattice:

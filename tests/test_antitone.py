@@ -15,6 +15,7 @@ from commrep import (
     Rep,
     UpSet,
     admissibility_report,
+    antitone,
     chain,
     check_complete,
     equal_fn,
@@ -236,6 +237,30 @@ def test_equal_sublevels_share_their_complement_maxima(monkeypatch):
     assert len(calls) == len({rep.sublevel(a) for a in range(rep.lattice.m)}) == 5
 
 
+@pytest.mark.parametrize("name", ["div52", "B", "B7"])
+def test_check_complete_builds_no_index_when_ext_holds_every_critical_point(
+    monkeypatch, name
+):
+    # complete() evaluates through rep's own index, so every index built
+    # from here on would be one over ext
+    _, rep = example(name)
+    comp = rep.complete()
+    calls = count_calls(monkeypatch, antitone, "_Below")
+    assert check_complete(rep, comp)
+    assert calls == []
+
+
+def test_canonical_and_join_build_no_rep_through_the_constructor(monkeypatch):
+    div52, rep = example("div52")
+    other = Rep(div52, 2, [((5, 5), "13"), ((20, 0), "4")])
+    calls = count_calls(monkeypatch, Rep, "__init__")
+    canon = rep.canonical()
+    joined = join_fn(rep, other)
+    assert calls == []
+    assert canon == Rep(div52, 2, canon.points)
+    assert joined == Rep(div52, 2, joined.points)
+
+
 def test_check_complete_requires_matching_context(div52, rep_g):
     other = ExtRep(div52, 3, [((0, 0, 0), "52")])
     with pytest.raises(ValueError, match="dimension"):
@@ -278,8 +303,9 @@ def test_index_matches_scans_on_seeded_reps():
     # and on it with one point dropped, and the value-grouped meet profile
     # against the point-by-point fold; every third rep is offset by 2^60.
     # Each sublevel is the upward closure of the profile antichains at or
-    # below its value, and complete() equals its points passed through
-    # the public ExtRep constructor.
+    # below its value, complete() equals its points passed through the
+    # public ExtRep constructor, and so does canonical() through the Rep
+    # constructor, with the same attributes.
     rng = random.Random(11)
     lattices = lattice_catalog()
     verdicts = {True: 0, False: 0}
@@ -301,6 +327,9 @@ def test_index_matches_scans_on_seeded_reps():
             assert rep.sublevel(a) == UpSet.from_points(d, union)
         comp = rep.complete()
         assert comp == ExtRep(lat, d, comp.points)
+        canon = rep.canonical()
+        rebuilt = Rep(lat, d, canon.points)
+        assert canon == rebuilt and vars(canon).keys() == vars(rebuilt).keys()
         assert check_complete(rep, comp) and brute_check_complete(rep, comp)
         if comp.points:
             drop = rng.randrange(len(comp.points))
@@ -309,6 +338,50 @@ def test_index_matches_scans_on_seeded_reps():
             assert verdict == brute_check_complete(rep, tampered)
             verdicts[verdict] += 1
     assert verdicts[True] >= 100 and verdicts[False] >= 100
+
+
+def test_check_complete_matches_scans_off_the_complete_set(monkeypatch):
+    # check_complete against brute_check_complete on three kinds of set:
+    # the complete set plus graph points (finite and with INF), which must
+    # need no index; the complete set without one to three of its points,
+    # each of them critical; and random samples of graph points, drawn from
+    # the complete set and random vectors. Every third rep is offset by
+    # 2^60.
+    rng = random.Random(23)
+    lattices = lattice_catalog()
+    calls = count_calls(monkeypatch, antitone, "_Below")
+    verdicts = {(kind, v): 0 for kind in ("dropped", "sample") for v in (True, False)}
+    indexed = 0
+    for i in range(900):
+        lat = lattices[i % len(lattices)]
+        d = rng.randrange(1, 4)
+        rep = random_rep(rng, lat, d, max_coord=5, max_points=6)
+        off = 2**60 if i % 3 == 0 else 0
+        if off:
+            rep = Rep(lat, d, [(tuple(c + off for c in v), e) for v, e in rep.points])
+        comp = rep.complete()
+
+        def graph(k):
+            vecs = {tuple(c if c == INF else c + off for c in random_ext_vec(rng, d))
+                    for _ in range(k)}
+            return tuple((v, rep.eval_ext(v)) for v in vecs)
+
+        extra = ExtRep(lat, d, comp.points + graph(rng.randrange(1, 4)))
+        n = len(comp.points)
+        drop = set(rng.sample(range(n), min(n, rng.randrange(1, 4))))
+        dropped = ExtRep(lat, d, [p for k, p in enumerate(comp.points) if k not in drop])
+        pool = comp.points + graph(rng.randrange(1, 13))
+        sample = ExtRep(lat, d, [p for p in pool if rng.random() < 0.6])
+        for kind, ext in (("extra", extra), ("dropped", dropped), ("sample", sample)):
+            before = len(calls)
+            verdict = check_complete(rep, ext)
+            assert verdict == brute_check_complete(rep, ext), (kind, rep, ext)
+            if kind == "extra":
+                assert verdict and len(calls) == before
+            else:
+                verdicts[kind, verdict] += 1
+                indexed += len(calls) > before
+    assert min(verdicts.values()) >= 100 and indexed >= 1400, (verdicts, indexed)
 
 
 def test_index_spans_blocks():

@@ -8,8 +8,10 @@ point (0, 0, k) -> 0, in json and table format.  The property and
 equality commands are also pinned on the encodings in ``fixtures/``, each
 of which violates a property (hc1, hc2, hc7 or hc8), so their witnesses
 are pinned too.  The representation commands are pinned on hyperplane
-antichains in two to four dimensions and on one moved up by 2^60.  A
-digest is updated only for an intended change of output.
+antichains in two to four dimensions and on one moved up by 2^60, and
+``check-complete`` is pinned on point sets that differ from ``complete``'s
+output by one point.  A digest is updated only for an intended change of
+output.
 """
 
 import hashlib
@@ -19,10 +21,10 @@ from pathlib import Path
 
 import pytest
 
-from commrep import Rep, chain
+from commrep import INF, ExtRep, Rep, chain
 from commrep.cli import main
 from commrep.commutator import example
-from commrep.io import rep_to_doc
+from commrep.io import extrep_from_doc, extrep_to_doc, rep_to_doc
 from util import hyperplane
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
@@ -109,6 +111,31 @@ def _hyperplane_digests(capsys, tmp_path, name, fmt):
         for key, argv in cases.items()
         for code, text in [_run(capsys, argv + ["--format", fmt])]
     }
+
+
+def _check_complete_digests(capsys, tmp_path, name, fmt):
+    # complete's output plus one graph point beyond every finite
+    # coordinate (still complete), and without its last point, a critical
+    # point of each of these inputs (no longer complete)
+    rep = _hyperplane_rep(name) if name.startswith("h") else _rep(name)
+    rep_path = tmp_path / "rep.json"
+    rep_path.write_text(json.dumps(rep_to_doc(rep)))
+    src = ["--rep", str(rep_path)]
+    comp = extrep_from_doc(json.loads(_run(capsys, ["complete", *src])[1]), rep.lattice)
+    edge = 1 + max((c for v, _ in comp.points for c in v if c != INF), default=0)
+    extra = (edge,) * rep.dim
+    sets = {
+        "check-complete +1": comp.points + ((extra, rep.eval(extra)),),
+        "check-complete -1": comp.points[:-1],
+    }
+    out = {}
+    for key, points in sets.items():
+        ext_path = tmp_path / "ext.json"
+        ext_path.write_text(json.dumps(extrep_to_doc(ExtRep(rep.lattice, rep.dim, points))))
+        argv = ["check-complete", *src, "--extrep", str(ext_path), "--format", fmt]
+        code, text = _run(capsys, argv)
+        out[key] = (code, _digest(text))
+    return out
 
 
 def _failing_digests(capsys, name, fmt):
@@ -390,6 +417,42 @@ GOLDEN_HYPERPLANE = {
     },
 }
 
+# check-complete on complete's output with one point added or dropped
+GOLDEN_CHECK_COMPLETE = {
+    ("div52", "json"): {
+        "check-complete +1": (0, "ad1ed6243ea081e7d97d9e7bf7443870a40e1ea693c6c7fb4a35354451f1de93"),
+        "check-complete -1": (3, "9718ff1859cbd0804b0e4522d054bdc3e177f46e859736462f4e0ec08876c353"),
+    },
+    ("div52", "table"): {
+        "check-complete +1": (0, "70601edaa751e402eb3c0e8066abc5ad3539f4a1508d89daa842762b093a3203"),
+        "check-complete -1": (3, "4430b2eb94269d45be0e071197f6bf9e52f27a0f1babbf4731b3e4992560f920"),
+    },
+    ("B", "json"): {
+        "check-complete +1": (0, "ad1ed6243ea081e7d97d9e7bf7443870a40e1ea693c6c7fb4a35354451f1de93"),
+        "check-complete -1": (3, "9718ff1859cbd0804b0e4522d054bdc3e177f46e859736462f4e0ec08876c353"),
+    },
+    ("B", "table"): {
+        "check-complete +1": (0, "70601edaa751e402eb3c0e8066abc5ad3539f4a1508d89daa842762b093a3203"),
+        "check-complete -1": (3, "4430b2eb94269d45be0e071197f6bf9e52f27a0f1babbf4731b3e4992560f920"),
+    },
+    ("B7", "json"): {
+        "check-complete +1": (0, "ad1ed6243ea081e7d97d9e7bf7443870a40e1ea693c6c7fb4a35354451f1de93"),
+        "check-complete -1": (3, "9718ff1859cbd0804b0e4522d054bdc3e177f46e859736462f4e0ec08876c353"),
+    },
+    ("B7", "table"): {
+        "check-complete +1": (0, "70601edaa751e402eb3c0e8066abc5ad3539f4a1508d89daa842762b093a3203"),
+        "check-complete -1": (3, "4430b2eb94269d45be0e071197f6bf9e52f27a0f1babbf4731b3e4992560f920"),
+    },
+    ("h3-6", "json"): {
+        "check-complete +1": (0, "ad1ed6243ea081e7d97d9e7bf7443870a40e1ea693c6c7fb4a35354451f1de93"),
+        "check-complete -1": (3, "9718ff1859cbd0804b0e4522d054bdc3e177f46e859736462f4e0ec08876c353"),
+    },
+    ("h3-6", "table"): {
+        "check-complete +1": (0, "70601edaa751e402eb3c0e8066abc5ad3539f4a1508d89daa842762b093a3203"),
+        "check-complete -1": (3, "4430b2eb94269d45be0e071197f6bf9e52f27a0f1babbf4731b3e4992560f920"),
+    },
+}
+
 GOLDEN_DEMOS = {
     "01_antitone_maps_and_representations.py": "467e7950cb2cf696603d57ad6f63fd60473a80fc7b811a2bb1e742fc236388ae",
     "02_commutator_sequences.py": "961b120a5cd7c808a71bd60b370dd97f52a690b46d36cb67fa1c14ec0f9c4e7f",
@@ -408,6 +471,12 @@ def test_cli_outputs_are_pinned(capsys, tmp_path, name, fmt):
 @pytest.mark.parametrize("name", ["h2-9", "h3-6", "h4-4", "h3-4+2^60"])
 def test_hyperplane_outputs_are_pinned(capsys, tmp_path, name, fmt):
     assert _hyperplane_digests(capsys, tmp_path, name, fmt) == GOLDEN_HYPERPLANE[name, fmt]
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+@pytest.mark.parametrize("name", ["div52", "B", "B7", "h3-6"])
+def test_check_complete_outputs_are_pinned(capsys, tmp_path, name, fmt):
+    assert _check_complete_digests(capsys, tmp_path, name, fmt) == GOLDEN_CHECK_COMPLETE[name, fmt]
 
 
 @pytest.mark.parametrize("fmt", ["json", "table"])

@@ -1,6 +1,7 @@
 import hashlib
 import re
 from collections import Counter
+from enum import IntEnum
 from itertools import product
 
 import pytest
@@ -96,6 +97,18 @@ def test_non_integer_table_entry(entry):
     two, bad = ["0", "1"], [[0, 0], [0, entry]]
     rejects(two, bad, [[0, 1], [1, 1]], "meet table must contain element indices")
     rejects(two, [[0, 0], [0, 1]], bad, "join table must contain element indices")
+
+
+def test_integral_table_entries_become_ints():
+    # an Integral that is not exactly an int passes the entry check, is
+    # range-checked like one and is stored as a plain int
+    Index = IntEnum("Index", [("ZERO", 0), ("ONE", 1), ("TWO", 2)])
+    two, join = ["0", "1"], [[0, 1], [1, 1]]
+    lat = Lattice(two, [[Index.ZERO, 0], [0, Index.ONE]], [[0, Index.ONE], join[1]])
+    assert lat == chain(2, two)
+    for table in (lat.meet_table, lat.join_table):
+        assert all(type(x) is int for row in table for x in row)
+    rejects(two, [[0, 0], [0, Index.TWO]], join, "meet table entry at (1, 1) is out of range 0..1")
 
 
 def test_table_shape_rejected():
