@@ -124,6 +124,19 @@ class _PointSet:
     points over a lattice and a dimension.  Equality requires the same
     class, so a representation never equals an extended point set."""
 
+    @classmethod
+    def _from_checked(cls, lattice: Lattice, dim: int, points: Sequence):
+        # points must be sorted (vector, element index) pairs with distinct,
+        # already checked vectors of dimension dim, finite for a Rep.
+        self = object.__new__(cls)
+        self._setup(lattice, dim, points)
+        return self
+
+    def _setup(self, lattice: Lattice, dim: int, points: Sequence) -> None:
+        self.lattice = lattice
+        self.dim = dim
+        self.points: tuple[tuple[Vec, int], ...] = tuple(points)
+
     def _compatible(self, other) -> None:
         if self.lattice != other.lattice:
             raise ValueError("representations use different lattices")
@@ -173,19 +186,9 @@ class Rep(_PointSet):
             merged[v] = lattice.meet(merged[v], e) if v in merged else e
         self._setup(lattice, dim, sorted(merged.items()))
 
-    @classmethod
-    def _from_checked(cls, lattice: Lattice, dim: int, points: Sequence) -> "Rep":
-        # points must be sorted (vector, element index) pairs with distinct,
-        # already checked finite vectors of dimension dim.
-        self = object.__new__(cls)
-        self._setup(lattice, dim, points)
-        return self
-
     def _setup(self, lattice: Lattice, dim: int, points: Sequence) -> None:
         # the one place that sets a Rep's attributes, its caches empty
-        self.lattice = lattice
-        self.dim = dim
-        self.points: tuple[tuple[Vec, int], ...] = tuple(points)
+        super()._setup(lattice, dim, points)
         self._values: dict[Vec, int] = {}
         self._index: _Below | None = None
         self._levels: dict[int, UpSet] = {}
@@ -369,19 +372,7 @@ class ExtRep(_PointSet):
             if v in seen and seen[v] != e:
                 raise ValueError(f"conflicting values at {v}")
             seen[v] = e
-        self.lattice = lattice
-        self.dim = dim
-        self.points: tuple[tuple[Vec, int], ...] = tuple(sorted(seen.items()))
-
-    @classmethod
-    def _from_checked(cls, lattice: Lattice, dim: int, points: Sequence) -> "ExtRep":
-        # points must be sorted (extended vector, element index) pairs with
-        # distinct, already checked vectors of dimension dim.
-        self = object.__new__(cls)
-        self.lattice = lattice
-        self.dim = dim
-        self.points = tuple(points)
-        return self
+        self._setup(lattice, dim, sorted(seen.items()))
 
 
 def check_complete(rep: Rep, ext: ExtRep) -> bool:
