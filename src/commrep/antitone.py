@@ -25,7 +25,7 @@ from functools import reduce
 from typing import Iterable, Iterator, Sequence
 
 from .lattice import Lattice
-from .upset import UpSet, min_elements
+from .upset import UpSet, _bits, min_elements
 from .vectors import (
     INF,
     Vec,
@@ -64,6 +64,9 @@ class _Below:
     size.  The points are split into blocks of ``_BLOCK`` with masks of
     their own, so memory grows as n * d * _BLOCK bits rather than n^2 * d.
     The "above" direction is the same index over the negated vectors.
+
+    Kept apart from ``UpSet.complement_maxima``'s masks: a fixed set wants
+    cumulative masks and O(log) queries, a changing antichain O(1) updates.
     """
 
     def __init__(self, points: Sequence[tuple[Vec, int]]):
@@ -108,10 +111,7 @@ class _Below:
     def vectors(self, x: Vec) -> Iterator[Vec]:
         """The vectors of the points at or below x."""
         for mask, _, vecs in self._hits(x):
-            while mask:
-                low = mask & -mask
-                yield vecs[low.bit_length() - 1]
-                mask ^= low
+            yield from (vecs[b] for b in _bits(mask))
 
 
 def _neg(v: Vec) -> Vec:

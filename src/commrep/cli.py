@@ -32,14 +32,12 @@ __all__ = ["main", "main_entry"]
 
 
 def _read_doc(path: str | None):
-    if path is None or path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+        if path is None or path == "-":
+            return json.loads(sys.stdin.read())
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.loads(fh.read())
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise cio.ParseError(f"invalid JSON: {exc}") from exc
 
 
@@ -286,10 +284,7 @@ def main(argv=None) -> int:
     except (cio.ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except RuntimeError as exc:
+    except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -51,8 +51,8 @@ def _require_encoding(rep: Rep) -> None:
 
 
 def _decided(rep: Rep, prop: str, find):
-    # The witness of hc1 or hc2 (None when it holds), found once per Rep
-    # and kept with its other derived objects; do not mutate.
+    # The witness of prop (None when it holds), found once per Rep and kept
+    # with its other derived objects; do not mutate.
     if prop not in rep._witnesses:
         rep._witnesses[prop] = find(rep)
     return rep._witnesses[prop]
@@ -136,15 +136,16 @@ def _hc8_witness(rep: Rep):
 def _hc7_separator(shifted: list[UpSet], i: int, j: int, k: int):
     """A generator in just one of {x : F(x + e_k) <= alpha} and
     {x : F(x + e_i) <= alpha and F(x + e_j) <= alpha}, or None, where
-    shifted[t] is {x : F(x + e_t) <= alpha}."""
+    shifted[t] is {x : F(x + e_t) <= alpha}.  Both are upsets given by
+    sorted minimal antichains, so when their generators differ, some
+    generator of one lies outside the other, and the scan returns it."""
     ek = shifted[k]
     both = shifted[i] & shifted[j]
     if ek.gens == both.gens:
-        return None  # sorted minimal antichains: the sets are equal
+        return None
     for g in ek.gens + both.gens:
         if not (ek.member(g) and both.member(g)):
             return g
-    return None
 
 
 def _hc7_witness(rep: Rep):
@@ -196,22 +197,20 @@ def check_hc2(rep: Rep) -> bool:
 
 def check_hc7(rep: Rep) -> bool:
     """Join distributivity in each argument."""
-    return _hc7_witness(rep) is None
+    return _decided(rep, "hc7", _hc7_witness) is None
 
 
 def check_hc8(rep: Rep) -> bool:
     """Nesting.  Requires hc2; raises ValueError when it fails."""
     if not check_hc2(rep):
         raise ValueError("hc8 test requires hc2 (monotony) to hold")
-    return _hc8_witness(rep) is None
+    return _decided(rep, "hc8", _hc8_witness) is None
 
 
 def is_admissible(rep: Rep) -> bool:
     """Whether the encoded sequence satisfies hc1, hc2, hc7 and hc8
     (hc3 and hc4 hold by encoding)."""
-    if not (check_hc1(rep) and check_hc2(rep)):
-        return False
-    return check_hc7(rep) and _hc8_witness(rep) is None
+    return check_hc1(rep) and check_hc2(rep) and check_hc7(rep) and check_hc8(rep)
 
 
 def _copy(witness):
@@ -223,14 +222,14 @@ def admissibility_report(rep: Rep) -> dict:
     report: dict = {}
     w1 = _copy(_decided(rep, "hc1", _hc1_witness))
     w2 = _copy(_decided(rep, "hc2", _hc2_witness))
-    w7 = _hc7_witness(rep)
+    w7 = _copy(_decided(rep, "hc7", _hc7_witness))
     report["hc1"] = {"holds": w1 is None, "witness": w1}
     report["hc2"] = {"holds": w2 is None, "witness": w2}
     report["hc3"] = {"holds": True, "note": "antitone by construction"}
     report["hc4"] = {"holds": True, "note": "occurrence counts carry no order"}
     report["hc7"] = {"holds": w7 is None, "witness": w7}
     if w2 is None:
-        w8 = _hc8_witness(rep)
+        w8 = _copy(_decided(rep, "hc8", _hc8_witness))
         report["hc8"] = {"holds": w8 is None, "witness": w8}
     else:
         report["hc8"] = {"holds": None, "note": "not evaluated, needs hc2"}

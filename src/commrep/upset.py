@@ -165,6 +165,10 @@ class UpSet:
         bits for the replacements, so the masks and the sorted values grow
         with the live antichain only.  Coordinates are only compared, so
         the result is exact for coordinates of any size.
+
+        Kept apart from ``antitone._Below``, whose cumulative masks give a
+        fixed set O(log) queries: the changing antichain wants per-value
+        masks with O(1) updates.  Each shared kernel tried was slower.
         """
         d = self.dim
         pts: dict[int, Vec] = {0: (INF,) * d}  # the live maxima by bit

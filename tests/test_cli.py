@@ -6,6 +6,8 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 import commrep
 from commrep.cli import main
 from commrep.io import extrep_to_doc, lattice_to_doc, rep_to_doc
@@ -248,6 +250,24 @@ def test_io_error_exit_codes(capsys, tmp_path, monkeypatch):
     )
     assert code == 2 and "dimension" in err
 
+
+
+@pytest.mark.parametrize(
+    "data",
+    [b'\xff\xfe{"a": 1}', b"[" * 100_000 + b"]" * 100_000],
+    ids=["not-utf-8", "too-deep"],
+)
+def test_undecodable_json_text_exits_2(capsys, tmp_path, monkeypatch, data):
+    # a byte that is not UTF-8 and nesting deeper than the parser's
+    # recursion limit are input errors like any other invalid JSON
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    code, _, err = run(capsys, ["canonical", "--rep", str(path)])
+    assert code == 2 and err.startswith("error: invalid JSON: "), err
+    stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", stdin)
+    code, _, err = run(capsys, ["canonical"])
+    assert code == 2 and err.startswith("error: invalid JSON: "), err
 
 def test_python_dash_m_runs_the_cli(capsys, tmp_path):
     main(["example", "B"])

@@ -1,5 +1,7 @@
+import json
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +27,7 @@ from commrep import (
     vsub,
 )
 from commrep.hc import _hc7_separator, _hc7_witness, _hc8_witness
+from commrep.io import rep_from_doc
 from commrep.upset import UpSet
 
 from util import (
@@ -338,3 +341,64 @@ def test_join_law_random():
 
 def test_join_fn_equals_itself_on_idempotent_input(rep_b):
     assert equal_fn(join_fn(rep_b, rep_b), rep_b)
+
+
+def fixture_rep(name: str) -> Rep:
+    # a fresh Rep, with an empty witness memo, read from tests/fixtures
+    path = Path(__file__).resolve().parent / "fixtures" / f"{name}.json"
+    return rep_from_doc(json.loads(path.read_text()))
+
+
+def test_hc7_and_hc8_are_decided_once_per_rep(monkeypatch):
+    # B7 passes every check; fails_hc1 fails hc1 alone; fails_hc8 passes
+    # hc1 and hc2 and fails hc7 and hc8.  hc8 is decided wherever hc2 holds.
+    reps = [example("B7")[1], fixture_rep("fails_hc1"), fixture_rep("fails_hc8")]
+    for rep in reps:
+        hc7 = count_calls(monkeypatch, hc, "_hc7_witness")
+        hc8 = count_calls(monkeypatch, hc, "_hc8_witness")
+        report = admissibility_report(rep)
+        assert is_admissible(rep) == report["admissible"]
+        assert check_hc7(rep) == report["hc7"]["holds"]
+        assert check_hc8(rep) == report["hc8"]["holds"]
+        assert admissibility_report(rep) == report
+        assert len(hc7) == len(hc8) == 1
+        monkeypatch.undo()
+
+
+def test_is_admissible_agrees_with_the_report():
+    names = ("bool4_diamond", "fails_hc1", "fails_hc2", "fails_hc8")
+    for name in names:
+        assert not is_admissible(fixture_rep(name))
+        assert admissibility_report(fixture_rep(name))["admissible"] is False
+    # Two in three encodings send each unit vector e_j to j, so hc1 holds
+    # and the later checks decide.  is_admissible runs first on its own
+    # Rep, so neither reads the other's memo.
+    rng = random.Random(17)
+    lattices = small_lattices(max_size=4)
+    seen = {True: 0, False: 0, "hc7": 0, "hc8": 0}
+    for n in range(300):
+        lat = rng.choice(lattices)
+        rep = random_rep(rng, lat, lat.m, max_coord=3, max_points=8)
+        if n % 3:
+            units = [(unit(lat.m, j), j) for j in range(lat.m)]
+            rep = Rep(lat, lat.m, units + [p for p in rep.points if sum(p[0]) > 1])
+        ok = is_admissible(rep)
+        report = admissibility_report(Rep(lat, lat.m, rep.points))
+        assert report["admissible"] is ok
+        seen[ok] += 1
+        failing = [p for p in ("hc1", "hc2", "hc7", "hc8") if not report[p]["holds"]]
+        if len(failing) == 1 and failing[0] in seen:
+            seen[failing[0]] += 1
+    assert seen[True] >= 100 and seen[False] >= 50, seen
+    assert seen["hc7"] >= 1 and seen["hc8"] >= 5, seen  # the only failing check
+
+
+def test_report_witnesses_are_copies():
+    rep = fixture_rep("fails_hc8")
+    report = admissibility_report(rep)
+    kept = {p: dict(report[p]["witness"]) for p in ("hc7", "hc8")}
+    for p in ("hc7", "hc8"):
+        report[p]["witness"]["point"] = None
+        report[p]["witness"]["extra"] = 1
+    again = admissibility_report(rep)
+    assert {p: again[p]["witness"] for p in ("hc7", "hc8")} == kept
