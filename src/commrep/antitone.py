@@ -297,12 +297,11 @@ class Rep(_PointSet):
     def canonical(self) -> "Rep":
         """The canonical representation: minimal vectors of each value class.
 
-        The minimal vectors attaining exactly alpha are the minimal vectors
-        of the alpha-sublevel that do not already occur in the sublevel of
-        an element covered by alpha.  The result represents the same
-        function and is a subset of its graph.  It is built once and kept,
-        from the sublevel generators as they are, without the coercion of
-        the :class:`Rep` constructor.
+        Each minimal vector of a sublevel is such a vector, and its value
+        is the meet of the elements whose sublevels it generates.  The
+        result represents the same function and is a subset of its graph.
+        It is built once and kept, from the sublevel generators as they
+        are, without the coercion of the :class:`Rep` constructor.
         """
         if self._canonical is None:
             self._canonical = _rep_from_level_minima(
@@ -458,15 +457,12 @@ def join_fn(r1: Rep, r2: Rep) -> Rep:
 def _rep_from_level_minima(
     lattice: Lattice, dim: int, levels: Sequence[UpSet]
 ) -> Rep:
-    # levels[a] must be the a-sublevel of an antitone function; the minimal
-    # vectors attaining exactly a are levels[a].gens minus the generators of
-    # the sublevels of the lower covers of a.  So each vector occurs under
-    # one value, its own, and the generators are checked finite vectors.
-    pts = []
-    for a in range(lattice.m):
-        gens = set(levels[a].gens)
-        for b in lattice.lower_covers(a):
-            gens -= set(levels[b].gens)
-        pts.extend((v, a) for v in gens)
-    pts.sort()
-    return Rep._from_checked(lattice, dim, pts)
+    # levels[a] must be the a-sublevel of an antitone function F.  A minimal
+    # vector g of any sublevel lies in the a-sublevel only when a >= F(g),
+    # and generates the F(g)-sublevel, so F(g) is the meet of the levels g
+    # generates: the canonical value of g.  The gens are checked finite vectors.
+    pts: dict[Vec, int] = {}
+    for a, level in enumerate(levels):
+        for g in level.gens:
+            pts[g] = lattice.meet(pts[g], a) if g in pts else a
+    return Rep._from_checked(lattice, dim, sorted(pts.items()))

@@ -23,11 +23,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
 
 from .antitone import Rep
 from .hc import _require_encoding, check_hc1, check_hc2
 from .lattice import Lattice, chain, divisor_lattice
+from .upset import _bits
 from .vectors import INF, Vec, unit
 
 __all__ = [
@@ -165,20 +165,21 @@ def largest_from_equalities(
     return rep, report
 
 
-def _reaches(lattice: Lattice, b: Vec, x: Vec) -> bool:
+def _reaches(downs: list[int], b: Vec, x: Vec) -> bool:
     """Whether replacing arguments of b by smaller elements can bring b below x.
 
     By Hall's theorem the occurrences of b match into those of x, each onto
     an element below it, exactly when b(D) <= x(D) for every down-set D
-    generated by part of b's support (v(D) sums v over D).
+    generated by part of b's support (v(D) sums v over D).  With downs[j]
+    the principal down-set of j as a bitmask, those D are the ORs of the
+    masks of the support, and each distinct one is checked once.
     """
-    support = [j for j, c in enumerate(b) if c]
-    for r in range(1, len(support) + 1):
-        for part in combinations(support, r):
-            down = [i for i in range(len(b)) if any(lattice.leq(i, j) for j in part)]
-            if sum(b[i] for i in down) > sum(x[i] for i in down):
-                return False
-    return True
+    sets = {0}
+    for j, c in enumerate(b):
+        if c:
+            sets |= {d | downs[j] for d in sets}
+    excess = [c - y for c, y in zip(b, x)]
+    return all(sum(excess[i] for i in _bits(d)) <= 0 for d in sets)
 
 
 def _monotone_closed_rep(lattice: Lattice, pairs):
@@ -188,10 +189,11 @@ def _monotone_closed_rep(lattice: Lattice, pairs):
     monotony puts the value at x below that of each point that reaches x.
     """
     m = lattice.m
+    downs = [sum(1 << i for i in range(m) if lattice.leq(i, j)) for j in range(m)]
     pairs = [(unit(m, j), j) for j in range(m)] + list(pairs)
 
     def closed(x: Vec) -> int:
-        return lattice.big_meet(beta for b, beta in pairs if _reaches(lattice, b, x))
+        return lattice.big_meet(beta for b, beta in pairs if _reaches(downs, b, x))
 
     return closed
 

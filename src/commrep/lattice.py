@@ -117,7 +117,15 @@ class Lattice:
         """
         names = tuple(str(n) for n in names)
         m = len(names)
-        leq = [[bool(x) for x in row] for row in _rows(leq_matrix, m, "leq matrix")]
+        leq = _rows(leq_matrix, m, "leq matrix")
+        for a, row in enumerate(leq):
+            for b, x in enumerate(row):
+                # only a bool or the int 0 or 1 says whether a <= b
+                if not (isinstance(x, int) and x in (0, 1)):
+                    raise LatticeError(
+                        f"leq matrix entry at {(a, b)} must be true, false, 0 or 1, got {x!r}"
+                    )
+                row[b] = bool(x)
         geq = [list(col) for col in zip(*leq)]
         meet = [[0] * m for _ in range(m)]
         join = [[0] * m for _ in range(m)]

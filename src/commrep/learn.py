@@ -145,4 +145,7 @@ def learn(
             )
         if history is not None:
             history.append((w, got))
-        current = Rep(lat, dim, current.points + ((w, got),))
+        # w is a tuple of ints from _witness and got went through
+        # lat.resolve; w is no point of the hypothesis G yet, since then
+        # have = G(w) <= F(w) = got and the check above would have raised.
+        current = Rep._from_checked(lat, dim, sorted(current.points + ((w, got),)))

@@ -12,6 +12,7 @@ import commrep
 from commrep import (
     INF,
     ExtRep,
+    Lattice,
     Rep,
     UpSet,
     admissibility_report,
@@ -36,6 +37,7 @@ from util import (
     brute_meet_profile,
     brute_min_eq,
     brute_min_leq,
+    brute_rep_from_level_minima,
     brute_witness,
     coord_bound,
     count_calls,
@@ -74,6 +76,19 @@ def test_eval_dimension_checks(div52, rep_g):
         rep_g.eval((1, 2, 3))
     with pytest.raises(ValueError):
         rep_g.eval((1, INF))
+
+
+def test_dimension_must_be_positive(div52):
+    for cls in (Rep, ExtRep):
+        with pytest.raises(ValueError, match="^dimension must be at least 1$"):
+            cls(div52, 0)
+
+
+def test_equal_reps_hash_alike(div52):
+    pts = [((10, 20), "26"), ((30, 5), "4"), ((30, 5), "52")]
+    r1, r2 = Rep(div52, 2, pts), Rep(div52, 2, pts[::-1])
+    assert r1 == r2 and hash(r1) == hash(r2)
+    assert len({r1, r2, example("div52")[1]}) == 1
 
 
 def test_witness_examples(rep_g):
@@ -146,6 +161,41 @@ def test_canonical_matches_box_scan_random():
                 expected = brute_min_eq(rep, a)
                 got = {v for v, e in canon.points if e == a}
                 assert got == expected
+
+
+def test_canonical_and_join_match_the_lower_cover_derivation():
+    # canonical() and join_fn value each generator by the meet of the levels
+    # it generates; the old derivation subtracts the lower covers' generators
+    # over the catalog and its duals, whose element indices run top down
+    rng = random.Random(17)
+    lattices = lattice_catalog()
+    lattices += [Lattice.from_leq(base.names, list(zip(*base.leq_matrix))) for base in lattices]
+    spanning = incomparable = 0
+    for i in range(1200):
+        lat = lattices[i % len(lattices)]
+        d = rng.randrange(1, 4)
+        r1, r2 = (random_rep(rng, lat, d, max_coord=4, max_points=8) for _ in range(2))
+        if i % 3 == 0:
+            r1, r2 = (
+                Rep(lat, d, [(tuple(c + 2**60 for c in v), e) for v, e in r.points])
+                for r in (r1, r2)
+            )
+        levels = [r1.sublevel(a) for a in range(lat.m)]
+        joint = [r1.sublevel(a) & r2.sublevel(a) for a in range(lat.m)]
+        assert r1.canonical().points == brute_rep_from_level_minima(lat, d, levels).points
+        assert join_fn(r1, r2).points == brute_rep_from_level_minima(lat, d, joint).points
+        for family in (levels, joint):
+            spans: dict = {}
+            for a, level in enumerate(family):
+                for g in level.gens:
+                    spans.setdefault(g, []).append(a)
+            for span in spans.values():
+                spanning += len(span) >= 2
+                incomparable += any(
+                    not lat.leq(a, b) and not lat.leq(b, a) for a in span for b in span
+                )
+    print(f"generators of 2+ levels: {spanning}, of 2 incomparable levels: {incomparable}")
+    assert spanning >= 100 and incomparable >= 10
 
 
 def test_meet_profile_matches_pairwise_fold():

@@ -315,6 +315,29 @@ def test_ragged_lattice_table_is_a_lattice_error(capsys, monkeypatch):
         assert got == (1, "", f"error: {message}\n")
 
 
+def test_leq_entry_that_is_not_0_or_1_is_a_lattice_error(capsys, monkeypatch):
+    doc = {
+        "dimension": 1,
+        "points": [{"vec": [1], "value": "a"}],
+        "lattice": {"elements": ["a", "b"], "leq": [[True, "no"], [False, True]]},
+    }
+    got = run(capsys, ["canonical"], stdin=json.dumps(doc), monkeypatch=monkeypatch)
+    message = "leq matrix entry at (0, 1) must be true, false, 0 or 1, got 'no'"
+    assert got == (1, "", f"error: {message}\n")
+
+
+def test_elements_and_points_that_are_not_lists_exit_2(capsys, monkeypatch):
+    lattice = {"elements": ["0"], "leq": [[True]]}
+    cases = [
+        ({"dimension": 1, "points": [], "lattice": {**lattice, "elements": "0"}},
+         "'elements' must be a list of names"),
+        ({"dimension": 1, "points": {}, "lattice": lattice}, "'points' must be a list"),
+    ]
+    for doc, message in cases:
+        got = run(capsys, ["canonical"], stdin=json.dumps(doc), monkeypatch=monkeypatch)
+        assert got == (2, "", f"error: {message}\n")
+
+
 def test_unknown_example(capsys):
     code, _, err = run(capsys, ["example", "nope"])
     assert code == 1 and "unknown" in err

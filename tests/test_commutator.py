@@ -21,6 +21,7 @@ from commrep import (
 )
 from commrep.commutator import (
     _monotone_closed_rep,
+    _reaches,
     MAX_SPELLED_ARGS,
     args_from_vector,
     make_equality,
@@ -29,6 +30,7 @@ from commrep.vectors import unit
 from util import (
     box,
     brute_monotone_closed_rep,
+    brute_reaches,
     brute_reduced_equalities,
     lattice_catalog,
     random_rep,
@@ -248,6 +250,33 @@ def test_monotone_closed_interpolant_recovers_b(chain3, rep_b):
     brute = brute_monotone_closed_rep(chain3, pairs)
     for x in box(5, 3):
         assert closed(x) == rep_b.eval(x) == brute.eval(x)
+
+
+def test_reaches_checks_each_distinct_down_set_like_every_support_subset():
+    # x is b after a few replacements by smaller elements (so b reaches x)
+    # and a few added or removed occurrences, which may break Hall's condition
+    rng = random.Random(53)
+    outcomes = []
+    for lat in lattice_catalog():
+        m = lat.m
+        downs = [sum(1 << i for i in range(m) if lat.leq(i, j)) for j in range(m)]
+        for _ in range(150):
+            b = tuple(rng.randrange(3) for _ in range(m))
+            x = list(b)
+            for _ in range(rng.randrange(4)):
+                j = rng.randrange(m)
+                if x[j]:
+                    x[j] -= 1
+                    x[rng.choice([i for i in range(m) if lat.leq(i, j)])] += 1
+            for _ in range(rng.randrange(3)):
+                j = rng.randrange(m)
+                x[j] = max(0, x[j] + rng.choice((-1, 1)))
+            if rng.random() < 0.1:
+                x[rng.randrange(m)] = INF
+            got = _reaches(downs, b, tuple(x))
+            assert got == brute_reaches(lat, b, tuple(x)), (lat, b, x)
+            outcomes.append(got)
+    assert outcomes.count(True) >= 200 and outcomes.count(False) >= 200
 
 
 def test_reduced_equalities(chain3, rep_b, rep_b7):

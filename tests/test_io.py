@@ -55,6 +55,8 @@ def test_lattice_doc_errors():
         lattice_from_doc(["a"])
     with pytest.raises(ParseError):
         lattice_from_doc({"meet": [[0]], "join": [[0]]})
+    with pytest.raises(ParseError, match="^'elements' must be a list of names$"):
+        lattice_from_doc({"elements": "ab", "leq": [[1, 1], [0, 1]]})
 
 
 def test_rep_round_trip(rep_g):
@@ -81,6 +83,8 @@ def test_points_doc_errors(div52):
         rep_from_doc({"dimension": 2, "lattice": lattice_to_doc(div52), "points": [{}]})
     with pytest.raises(ParseError):
         rep_from_doc({"points": []})
+    with pytest.raises(ParseError, match="^'points' must be a list$"):
+        rep_from_doc({"dimension": 2, "lattice": lattice_to_doc(div52), "points": "ab"})
     for dim in (3.7, "3", "x", True, None):
         doc = {"dimension": dim, "lattice": lattice_to_doc(div52), "points": []}
         with pytest.raises(ParseError, match="dimension"):

@@ -134,6 +134,30 @@ def test_from_leq_matches_tables(div52):
     assert rebuilt == div52
 
 
+@pytest.mark.parametrize("entry", ["no", 0.5, [], None, 2], ids=repr)
+def test_from_leq_rejects_entries_other_than_booleans_and_0_1(entry):
+    # a truthy string or float once read as "<=", an empty list as its negation
+    message = f"leq matrix entry at (0, 1) must be true, false, 0 or 1, got {entry!r}"
+    with pytest.raises(LatticeError, match=f"^{re.escape(message)}$"):
+        Lattice.from_leq(["a", "b"], [[True, entry], [False, True]])
+
+
+@pytest.mark.parametrize("yes, no", [(True, False), (1, 0), (True, 0), (1, False)])
+def test_from_leq_accepts_booleans_and_0_1(yes, no):
+    assert Lattice.from_leq(["a", "b"], [[yes, yes], [no, yes]]) == chain(2, ["a", "b"])
+
+
+def test_empty_lattice_rejected():
+    with pytest.raises(LatticeError, match="^a lattice needs at least one element$"):
+        Lattice([], [], [])
+
+
+def test_equal_lattices_hash_alike_and_repr():
+    assert hash(chain(3)) == hash(Lattice.from_leq(chain(3).names, chain(3).leq_matrix))
+    assert hash(divisor_lattice(12)) == hash(divisor_lattice(12))
+    assert repr(chain(2)) == "Lattice(['0', '1'])"
+
+
 def test_from_leq_non_lattice_rejected():
     # 0 below everything, x and y below both a and b: x, y have two minimal
     # upper bounds, and in the reversed order two maximal lower bounds

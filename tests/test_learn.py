@@ -13,7 +13,7 @@ from commrep import (
     learn,
     oracle_from_rep,
 )
-from util import bool4, hyperplane, random_rep, small_lattices
+from util import bool4, count_calls, hyperplane, random_rep, small_lattices
 
 
 def test_oracle_from_rep_examples(div52, rep_g):
@@ -154,3 +154,15 @@ def test_learn_counts_queries(rep_g):
     learned = learn(oracle)
     assert equal_fn(learned, rep_g)
     assert len(calls) == len(set(calls))  # repeated questions are cached
+
+
+def test_learn_builds_its_hypotheses_without_the_constructor(monkeypatch, rep_b7):
+    # only the empty starting hypothesis goes through Rep.__init__; each
+    # round adds its checked witness to points that are already checked
+    history = []
+    calls = count_calls(monkeypatch, Rep, "__init__")
+    learned = learn(oracle_from_rep(rep_b7), history=history)
+    assert len(calls) == 1 and len(history) >= 5
+    monkeypatch.undo()
+    assert learned == Rep(learned.lattice, learned.dim, learned.points)
+    assert equal_fn(learned, rep_b7)

@@ -46,6 +46,13 @@ def test_dimension_mismatch():
         vsup((1,), (1, 2))
 
 
+def test_unit_index_out_of_range():
+    assert unit(3, 2) == (0, 0, 1)
+    for i in (3, -1):
+        with pytest.raises(ValueError, match=f"^unit index {i} out of range for dimension 3$"):
+            unit(3, i)
+
+
 def test_sub_requires_domination():
     with pytest.raises(ValueError, match="subtract"):
         vsub((1, 5), (2, 0))

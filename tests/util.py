@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 import operator
-from itertools import product
+from itertools import combinations, product
 
 from commrep import (
     INF,
@@ -389,3 +389,32 @@ def brute_reduced_equalities(rep: Rep) -> tuple[CommEquality, ...]:
         if equal_fn(closed, rep):
             kept = rest
     return tuple(kept)
+
+
+def brute_rep_from_level_minima(lattice: Lattice, dim: int, levels) -> Rep:
+    """The canonical points from a function's sublevels, the old way: the
+    generators of levels[a] minus those of the lower covers of a."""
+    # levels[a] must be the a-sublevel of an antitone function; the minimal
+    # vectors attaining exactly a are levels[a].gens minus the generators of
+    # the sublevels of the lower covers of a.  So each vector occurs under
+    # one value, its own, and the generators are checked finite vectors.
+    pts = []
+    for a in range(lattice.m):
+        gens = set(levels[a].gens)
+        for b in lattice.lower_covers(a):
+            gens -= set(levels[b].gens)
+        pts.extend((v, a) for v in gens)
+    pts.sort()
+    return Rep._from_checked(lattice, dim, pts)
+
+
+def brute_reaches(lattice: Lattice, b, x) -> bool:
+    """Hall's condition over every subset of b's support, with each
+    generated down-set rebuilt by a scan of the lattice."""
+    support = [j for j, c in enumerate(b) if c]
+    for r in range(1, len(support) + 1):
+        for part in combinations(support, r):
+            down = [i for i in range(len(b)) if any(lattice.leq(i, j) for j in part)]
+            if sum(b[i] for i in down) > sum(x[i] for i in down):
+                return False
+    return True
