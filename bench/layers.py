@@ -1,0 +1,170 @@
+"""Per-layer timings of commrep's antichain primitives, with scaling slopes.
+
+Times ``min_elements``, ``max_elements`` and ``UpSet.complement_maxima`` on
+two families at four sizes each:
+
+- hyperplanes ``{x in N^d : sum x = s}`` for d = 3 to 8, antichains whose
+  complement maxima are the hyperplane at s - 1;
+- matchings ``{e_2i + e_2i+1 : i < k}`` in d = 2k for k = 8 to 11, whose
+  2^k complement maxima put 0 on one coordinate of each pair and INF on
+  the other; ``min_elements`` and ``max_elements`` run on those maxima.
+
+Every output is checked against its closed form.  Each case reports the
+best time per call over three samples, and each family the least-squares
+slope of log time against log points handled (input plus output), so a
+change in how a layer scales shows even while its smallest size stays
+fast.  Only the standard library is used; commrep is imported from
+``src/`` of this checkout.
+
+    python3 bench/layers.py --out BENCH.json             # every size
+    python3 bench/layers.py --out smoke.json --sizes 2   # two smallest sizes
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import os
+import platform
+import resource
+import sys
+import time
+from itertools import product
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from commrep import INF, UpSet  # noqa: E402
+from commrep.upset import max_elements, min_elements  # noqa: E402
+
+# The hyperplane sums per dimension, chosen so that each family spans
+# tens to about a thousand points.
+HYPERPLANE_SUMS = {
+    3: (10, 20, 30, 40),
+    4: (5, 8, 11, 14),
+    5: (4, 6, 8, 10),
+    6: (3, 5, 7, 8),
+    7: (2, 4, 5, 6),
+    8: (2, 3, 4, 6),
+}
+MATCHING_PAIRS = (8, 9, 10, 11)
+
+# A sample repeats the call until it has run this long, in seconds.
+SAMPLE_S = 0.05
+
+
+def hyperplane(d: int, s: int) -> list:
+    """The antichain {x in N^d : sum x = s}, sorted."""
+    if d == 1:
+        return [(s,)]
+    return [(c,) + x for c in range(s + 1) for x in hyperplane(d - 1, s - c)]
+
+
+def matching(k: int) -> UpSet:
+    gens = sorted(tuple(int(j // 2 == i) for j in range(2 * k)) for i in range(k))
+    return UpSet._from_antichain(2 * k, tuple(gens))
+
+
+def matching_maxima(k: int) -> set:
+    return {sum(c, ()) for c in product([(0, INF), (INF, 0)], repeat=k)}
+
+
+def cases(sizes: int):
+    """(layer, family, size label, call, points in, expected output)."""
+    for d, sums in HYPERPLANE_SUMS.items():
+        family = f"hyperplane d={d}"
+        for s in sums[:sizes]:
+            pts = hyperplane(d, s)
+            up = UpSet._from_antichain(d, tuple(pts))
+            below = set(hyperplane(d, s - 1))
+            yield "min_elements", family, f"s={s}", lambda p=pts: min_elements(p), len(pts), set(pts)
+            yield "max_elements", family, f"s={s}", lambda p=pts: max_elements(p), len(pts), set(pts)
+            yield "complement_maxima", family, f"s={s}", up.complement_maxima, len(pts), below
+    for k in MATCHING_PAIRS[:sizes]:
+        family = "matching"
+        maxima = matching_maxima(k)
+        pts = sorted(maxima)
+        yield "complement_maxima", family, f"k={k}", matching(k).complement_maxima, k, maxima
+        yield "min_elements", family, f"k={k}", lambda p=pts: min_elements(p), len(pts), maxima
+        yield "max_elements", family, f"k={k}", lambda p=pts: max_elements(p), len(pts), maxima
+
+
+def best_time(call) -> tuple[float, int]:
+    """The best seconds per call over three samples, and the calls made."""
+    number = 1
+    while True:
+        start = time.perf_counter()
+        for _ in range(number):
+            call()
+        first = time.perf_counter() - start
+        if first >= SAMPLE_S or number >= 1 << 20:
+            break
+        number *= 2 if first > SAMPLE_S / 4 else 10
+    samples = [first]
+    for _ in range(2):
+        start = time.perf_counter()
+        for _ in range(number):
+            call()
+        samples.append(time.perf_counter() - start)
+    return min(samples) / number, 3 * number
+
+
+def slope(points: list[tuple[int, float]]) -> float | None:
+    """Least-squares slope of log seconds against log points handled."""
+    if len(points) < 2:
+        return None
+    xs = [math.log(n) for n, _ in points]
+    ys = [math.log(t) for _, t in points]
+    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+    sxx = sum((x - mx) ** 2 for x in xs)
+    return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sxx
+
+
+def run(sizes: int) -> dict:
+    rows = []
+    for layer, family, size, call, n_in, expected in cases(sizes):
+        out = call()
+        if out != expected:
+            raise AssertionError(f"{layer} on {family} {size}: wrong output")
+        seconds, calls = best_time(call)
+        rows.append({
+            "layer": layer,
+            "family": family,
+            "size": size,
+            "points_in": n_in,
+            "points_out": len(out),
+            "seconds": seconds,
+            "calls": calls,
+        })
+        print(f"{layer:18} {family:16} {size:5} {n_in:6} -> {len(out):6}  "
+              f"{seconds * 1e3:10.3f} ms", file=sys.stderr)
+    groups: dict[tuple[str, str], list] = {}
+    for r in rows:
+        groups.setdefault((r["layer"], r["family"]), []).append(
+            (r["points_in"] + r["points_out"], r["seconds"]))
+    return {
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "cpus": os.cpu_count(),
+        "cases": rows,
+        "slopes": [
+            {"layer": layer, "family": family, "slope": slope(pts)}
+            for (layer, family), pts in groups.items()
+        ],
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    }
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", required=True, help="where to write the JSON record")
+    parser.add_argument("--sizes", type=int, default=4, choices=range(1, 5),
+                        help="how many of each family's sizes to run, smallest first")
+    args = parser.parse_args(argv)
+    record = run(args.sizes)
+    Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -20,12 +20,11 @@ and the pointwise comparisons and combinations used elsewhere.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from functools import reduce
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .lattice import Lattice
-from .upset import UpSet, _bits, min_elements
+from .upset import UpSet, _Below, _neg, min_elements
 from .vectors import (
     INF,
     Vec,
@@ -45,78 +44,6 @@ __all__ = [
     "le_pointwise",
     "step",
 ]
-
-
-# Points per block of the dominance index: each block keeps at most this
-# many masks of this many bits per coordinate.
-_BLOCK = 256
-
-
-class _Below:
-    """Which of a fixed list of (vector, value) points lie at or below a query.
-
-    A bitmap dominance index (Tan, Eng & Ooi, VLDB 2001).  For each
-    coordinate it keeps the sorted distinct values and, for each rank, a
-    bitmask (a Python int) of the points whose coordinate is at or below
-    that value; the points below x are the AND over the coordinates of the
-    mask at x's rank, which ``bisect`` finds.  Coordinates are only
-    compared, so the index is exact for INF and for coordinates of any
-    size.  The points are split into blocks of ``_BLOCK`` with masks of
-    their own, so memory grows as n * d * _BLOCK bits rather than n^2 * d.
-    The "above" direction is the same index over the negated vectors.
-
-    Kept apart from ``UpSet.complement_maxima``'s masks: a fixed set wants
-    cumulative masks and O(log) queries, a changing antichain O(1) updates.
-    """
-
-    def __init__(self, points: Sequence[tuple[Vec, int]]):
-        self._blocks = [
-            self._block(points[i : i + _BLOCK]) for i in range(0, len(points), _BLOCK)
-        ]
-
-    @staticmethod
-    def _block(chunk: Sequence[tuple[Vec, int]]):
-        vecs = tuple(v for v, _ in chunk)
-        axes = []
-        for coords in zip(*vecs):
-            vals = sorted(set(coords))
-            rank = {c: r for r, c in enumerate(vals)}
-            masks = [0] * len(vals)
-            for j, c in enumerate(coords):
-                masks[rank[c]] |= 1 << j
-            for r in range(1, len(masks)):
-                masks[r] |= masks[r - 1]
-            axes.append((vals, masks))
-        groups: dict[int, int] = {}
-        for j, (_, e) in enumerate(chunk):
-            groups[e] = groups.get(e, 0) | 1 << j
-        return axes, tuple(groups.items()), vecs
-
-    def _hits(self, x: Vec) -> Iterator[tuple[int, tuple, tuple]]:
-        # (mask of the points below x, value groups, vectors) per block
-        for axes, groups, vecs in self._blocks:
-            mask = -1
-            for (vals, masks), c in zip(axes, x):
-                r = bisect_right(vals, c)
-                mask = mask & masks[r - 1] if r else 0
-                if not mask:
-                    break
-            else:
-                yield mask, groups, vecs
-
-    def values(self, x: Vec) -> set[int]:
-        """The distinct values of the points at or below x."""
-        return {e for mask, groups, _ in self._hits(x) for e, g in groups if mask & g}
-
-    def vectors(self, x: Vec) -> Iterator[Vec]:
-        """The vectors of the points at or below x."""
-        for mask, _, vecs in self._hits(x):
-            yield from (vecs[b] for b in _bits(mask))
-
-
-def _neg(v: Vec) -> Vec:
-    """The mirror image: v <= w exactly when _neg(w) <= _neg(v)."""
-    return tuple(-c for c in v)
 
 
 class _PointSet:
@@ -275,16 +202,14 @@ class Rep(_PointSet):
         """
         alpha = self.lattice.resolve(alpha)
         if alpha not in self._levels:
-            parts = [
-                anti
-                for mval, anti in self._meet_profile().items()
-                if self.lattice.leq(mval, alpha)
-            ]
-            if len(parts) == 1:
-                level = UpSet._from_antichain(self.dim, parts[0])
-            else:
-                level = UpSet._from_checked(self.dim, (v for anti in parts for v in anti))
-            self._levels[alpha] = level
+            self._levels[alpha] = UpSet._from_antichains(
+                self.dim,
+                [
+                    anti
+                    for mval, anti in self._meet_profile().items()
+                    if self.lattice.leq(mval, alpha)
+                ],
+            )
         return self._levels[alpha]
 
     def _maxima_outside(self, level: UpSet) -> set[Vec]:

@@ -106,14 +106,15 @@ def _hc8_witness(rep: Rep):
     # value at a - b + e_j grows with b, so only the largest b <= a with
     # eval(b) = j matter: each is vinf(a, p) for a complement maximum p of
     # the union of the sublevels of j's lower covers, which the rep caches
-    # with its sublevels' maxima: the union over one cover is its sublevel.
+    # with its sublevels' maxima: the union over one cover is its sublevel,
+    # taken as it is, and only a union over several is minimised.
     # Every pooled candidate is some b <= a, checked with its own value.
     _require_encoding(rep)
     lat = rep.lattice
     tops = set()
     for j in range(lat.m):
-        below = UpSet._from_checked(
-            rep.dim, (g for c in lat.lower_covers(j) for g in rep.sublevel(c).gens)
+        below = UpSet._from_antichains(
+            rep.dim, [rep.sublevel(c).gens for c in lat.lower_covers(j)]
         )
         tops |= rep._maxima_outside(below)
     for a, alpha in rep.canonical().points:

@@ -10,42 +10,105 @@ two equal sets therefore compare equal structurally.
 from __future__ import annotations
 
 import operator
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable, Set
+from itertools import compress, islice
+from typing import Iterable, Iterator, Sequence, Set
 
 from .vectors import INF, Vec, as_ext_vec, as_nat_vec, vleq
 
 __all__ = ["UpSet", "max_elements", "min_elements"]
 
 
+# Points per block of a dominance index and per chunk of the minima kernel:
+# each keeps at most this many masks of this many bits per coordinate.
+_BLOCK = 256
+# _EARLIER[j] is the mask of the points before point j of a chunk, which
+# may hold up to 2 * _BLOCK points.
+_EARLIER = tuple((1 << j) - 1 for j in range(2 * _BLOCK))
+
+
 def min_elements(points: Iterable[Vec]) -> set[Vec]:
     """Minimal elements of a finite set under the componentwise order.
 
-    After a lexicographic sort every point's dominators precede it, so one
-    pass that keeps a point unless an already kept point lies below it
-    finds the minima (Kung, Luccio & Preparata 1975): O(n log n + n k)
-    comparisons for n points and k minima.
+    A blocked rank-mask kernel (bitmap dominance; Tan, Eng & Ooi, VLDB
+    2001).  After a lexicographic sort every point's dominators precede
+    it, which settles coordinate 0.  The sorted points are cut into chunks
+    of ``_BLOCK``, and within a chunk each point starts with the bitmask
+    of the points before it.  For every further coordinate one pass visits
+    the chunk in value order, ORs each point into a running mask and ANDs
+    that mask into the point's own, which keeps only the earlier points at
+    or below it there.  A point whose mask ends empty has no dominator in
+    its chunk.  Such a survivor is kept unless a minimum kept from an
+    earlier chunk lies below it: the kept minima are sealed into a
+    :class:`_Below` index in blocks of ``_BLOCK``, and those not sealed yet
+    lead the next chunk.  Coordinates are only compared, so the result is
+    exact for INF and for coordinates of any size.
+
+    For n points, d coordinates and k minima the time is O(n log n + n d
+    log _BLOCK) comparisons for the sorts and O(n d) operations on masks
+    of at most 2 * _BLOCK bits, plus, for each chunk survivor, d bisections
+    in each of the k / _BLOCK index blocks; few minima among many points
+    cost little more than the sort.  Memory is O(_BLOCK^2 + k d _BLOCK)
+    bits.
     """
-    return _extremes(points, operator.le, reverse=False)
+    return set(_minima(points))
 
 
 def max_elements(points: Iterable[Vec]) -> set[Vec]:
-    """Maximal elements; the mirror image of :func:`min_elements`."""
-    return _extremes(points, operator.ge, reverse=True)
+    """Maximal elements: the mirror image of :func:`min_elements`, as the
+    minimal elements of the negated points."""
+    return {_neg(q) for q in _minima(map(_neg, points))}
 
 
-def _extremes(points: Iterable[Vec], dominates, reverse: bool) -> set[Vec]:
-    pts = sorted(set(points), reverse=reverse)
+def _neg(v: Vec) -> Vec:
+    """The mirror image: v <= w exactly when _neg(w) <= _neg(v)."""
+    return tuple(map(operator.neg, v))
+
+
+def _minima(points: Iterable[Vec]) -> list[Vec]:
+    # The minimal points, sorted.  kept[:sealed] are indexed in full
+    # blocks; the rest, fewer than _BLOCK, lead the next chunk.
+    pts = sorted(set(points))
     dims = {len(p) for p in pts}
     if len(dims) > 1:
         raise ValueError(f"dimension mismatch: {min(dims)} vs {max(dims)}")
-    kept: list[Vec] = []
-    for p in pts:
-        if not any(all(map(dominates, q, p)) for q in kept):
-            kept.append(p)
-    return set(kept)
+    # fewer than two points are their own minima
+    kept = _chunk_minima(pts[:_BLOCK]) if len(pts) > 1 else pts
+    sealed = 0
+    index = None
+    for start in range(_BLOCK, len(pts), _BLOCK):
+        if len(kept) - sealed >= _BLOCK:
+            index = index or _Below(())
+            index.add([(p, 0) for p in kept[sealed : sealed + _BLOCK]])
+            sealed += _BLOCK
+        tail = kept[sealed:]
+        fresh = _chunk_minima(tail + pts[start : start + _BLOCK])[len(tail) :]
+        if sealed:
+            fresh = [p for p in fresh if not index.covers(p)]
+        kept += fresh
+    return kept
+
+
+def _chunk_minima(chunk: list[Vec]) -> list[Vec]:
+    # The points of chunk (sorted, distinct, of one dimension) that no
+    # earlier point of chunk lies below.  below[j] is the mask of the
+    # earlier points at or below point j on every coordinate seen so far.
+    # The sort is stable, so points of equal value come in index order:
+    # when point j is reached, cum holds every point of lower value and
+    # those of equal value up to j, which covers every earlier point at or
+    # below it on this coordinate.
+    n = len(chunk)
+    below = [*_EARLIER[:n]]
+    for col in islice(zip(*chunk), 1, None):
+        if not any(below):
+            break
+        cum = 0
+        for j in sorted(range(n), key=col.__getitem__):
+            cum |= 1 << j
+            below[j] &= cum
+    return list(compress(chunk, map(operator.not_, below)))
 
 
 def _bits(mask: int):
@@ -66,6 +129,79 @@ def _dominated(q: Vec, i: int, near: int, at_least) -> bool:
             if not near:
                 return False
     return True
+
+
+class _Below:
+    """Which of a list of (vector, value) points lie at or below a query.
+
+    A bitmap dominance index (Tan, Eng & Ooi, VLDB 2001).  For each
+    coordinate it keeps the sorted distinct values and, for each rank, a
+    bitmask (a Python int) of the points whose coordinate is at or below
+    that value; the points below x are the AND over the coordinates of the
+    mask at x's rank, which ``bisect`` finds.  Coordinates are only
+    compared, so the index is exact for INF and for coordinates of any
+    size.  The points are split into blocks of ``_BLOCK`` with masks of
+    their own, so memory grows as n * d * _BLOCK bits rather than n^2 * d;
+    points added later form blocks of their own.  The "above" direction is
+    the same index over the negated vectors.
+
+    It serves ``Rep`` evaluation and witnesses, ``check_complete``, and
+    :func:`min_elements`, which seals the minima it keeps into it.  Kept
+    apart from ``UpSet.complement_maxima``'s masks: a fixed set wants
+    cumulative masks and O(log) queries, a changing antichain O(1) updates.
+    """
+
+    def __init__(self, points: Sequence[tuple[Vec, int]]):
+        self._blocks = [
+            self._block(points[i : i + _BLOCK]) for i in range(0, len(points), _BLOCK)
+        ]
+
+    def add(self, points: Sequence[tuple[Vec, int]]) -> None:
+        """Index at most ``_BLOCK`` more points, as a block of their own."""
+        self._blocks.append(self._block(points))
+
+    @staticmethod
+    def _block(chunk: Sequence[tuple[Vec, int]]):
+        vecs = tuple(v for v, _ in chunk)
+        axes = []
+        for coords in zip(*vecs):
+            vals = sorted(set(coords))
+            rank = {c: r for r, c in enumerate(vals)}
+            masks = [0] * len(vals)
+            for j, c in enumerate(coords):
+                masks[rank[c]] |= 1 << j
+            for r in range(1, len(masks)):
+                masks[r] |= masks[r - 1]
+            axes.append((vals, masks))
+        groups: dict[int, int] = {}
+        for j, (_, e) in enumerate(chunk):
+            groups[e] = groups.get(e, 0) | 1 << j
+        return axes, tuple(groups.items()), vecs
+
+    def _hits(self, x: Vec) -> Iterator[tuple[int, tuple, tuple]]:
+        # (mask of the points below x, value groups, vectors) per block
+        for axes, groups, vecs in self._blocks:
+            mask = -1
+            for (vals, masks), c in zip(axes, x):
+                r = bisect_right(vals, c)
+                mask = mask & masks[r - 1] if r else 0
+                if not mask:
+                    break
+            else:
+                yield mask, groups, vecs
+
+    def covers(self, x: Vec) -> bool:
+        """Whether some point lies at or below x."""
+        return next(self._hits(x), None) is not None
+
+    def values(self, x: Vec) -> set[int]:
+        """The distinct values of the points at or below x."""
+        return {e for mask, groups, _ in self._hits(x) for e, g in groups if mask & g}
+
+    def vectors(self, x: Vec) -> Iterator[Vec]:
+        """The vectors of the points at or below x."""
+        for mask, _, vecs in self._hits(x):
+            yield from (vecs[b] for b in _bits(mask))
 
 
 @dataclass(frozen=True)
@@ -92,6 +228,15 @@ class UpSet:
         # already checked, skipping the checks of from_points and
         # __post_init__.  The library's own upsets are built here.
         return cls._from_antichain(dim, tuple(sorted(min_elements(points))))
+
+    @classmethod
+    def _from_antichains(cls, dim: int, parts: Sequence[tuple[Vec, ...]]) -> "UpSet":
+        # The upward closure of the union of sorted antichains of checked
+        # vectors: just one is the generator set as it is, sorted and
+        # minimal; only a union of several is minimised again.
+        if len(parts) == 1:
+            return cls._from_antichain(dim, parts[0])
+        return cls._from_checked(dim, (v for anti in parts for v in anti))
 
     @classmethod
     def _from_antichain(cls, dim: int, gens: tuple[Vec, ...]) -> "UpSet":

@@ -80,17 +80,17 @@ def vleq(a: Vec, b: Vec) -> bool:
 
 def vsup(a: Vec, b: Vec) -> Vec:
     _samedim(a, b)
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def vinf(a: Vec, b: Vec) -> Vec:
     _samedim(a, b)
-    return tuple(min(x, y) for x, y in zip(a, b))
+    return tuple(map(min, a, b))
 
 
 def vadd(a: Vec, b: Vec) -> Vec:
     _samedim(a, b)
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def vsub(a: Vec, b: Vec) -> Vec:

@@ -28,6 +28,7 @@ from commrep import (
 )
 from commrep.hc import _hc7_separator, _hc7_witness, _hc8_witness
 from commrep.io import rep_from_doc
+from commrep import upset
 from commrep.upset import UpSet
 
 from util import (
@@ -255,6 +256,23 @@ def test_hc7_shifts_each_sublevel_once_per_unit_vector(monkeypatch):
     calls = count_calls(monkeypatch, UpSet, "shift")
     assert _hc7_witness(rep) is None
     assert len(calls) == len(set(calls)) == lat.m**2 == 9
+
+
+def test_hc8_minimises_only_unions_over_several_covers(monkeypatch):
+    # With the sublevels built, the union over a single lower cover is that
+    # cover's sublevel as it is; only the empty union below the bottom and
+    # unions over two or more covers are minimised.
+    rng = random.Random(18)
+    reps = [example("B")[1], example("B7")[1], fixture_rep("fails_hc8")]
+    reps += [random_rep(rng, bool4(), 4, max_coord=3, max_points=5) for _ in range(5)]
+    for rep in reps:
+        rep.complete()
+        witness = _hc8_witness(Rep(rep.lattice, rep.dim, rep.points))
+        calls = count_calls(monkeypatch, upset, "min_elements")
+        assert _hc8_witness(rep) == witness
+        lat = rep.lattice
+        assert len(calls) == sum(len(lat.lower_covers(j)) != 1 for j in range(lat.m))
+        monkeypatch.undo()
 
 
 def test_hc7_matches_box_comparison():

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 import commrep
 from commrep import INF, Rep, UpSet, chain
-from commrep.upset import max_elements, min_elements
-from commrep.vectors import residual, vadd, vsup
+from commrep.upset import _BLOCK, max_elements, min_elements
+from commrep.vectors import residual, vadd, vleq, vsup
 
 from util import (
     brute_complement_maxima,
@@ -175,6 +175,19 @@ def test_complement_maxima_hyperplane_in_eight_dimensions():
     assert maxima == set(hyperplane(8, 7))
     assert len(maxima) == 3432
     assert elapsed < 2.0, elapsed
+
+
+@pytest.mark.parametrize("k", [8, 9, 10])
+def test_complement_maxima_of_a_matching_in_closed_form(k):
+    # Outside the upset of {e_2i + e_2i+1 : i < k} every pair (2i, 2i+1)
+    # has a 0 coordinate, so the maxima put 0 on one coordinate of each
+    # pair and INF on the other: 2^k of them.
+    d = 2 * k
+    gens = sorted(tuple(int(j // 2 == i) for j in range(d)) for i in range(k))
+    maxima = UpSet._from_antichain(d, tuple(gens)).complement_maxima()
+    pairs = product([(0, INF), (INF, 0)], repeat=k)
+    assert maxima == {sum(choice, ()) for choice in pairs}
+    assert len(maxima) == 2**k
 
 
 # Peak RSS the kernel may add in the run below, in MB: the masks take
@@ -347,6 +360,39 @@ def random_point_set(rng, d):
     return pts
 
 
+def wide_point_set(rng, d):
+    """400 to 700 points that span several chunks of the minima kernel: an
+    antichain (first coordinate rising, second falling, third rising, the
+    rest random), points above some of its points, a few with INF
+    coordinates, and repeats; on some sets every finite coordinate is
+    offset by 2^60.  A point that lies above p on the first coordinate
+    alone lies above no other antichain point, so once it falls in a later
+    chunk than p, no point of its own chunk need lie below it."""
+    n = rng.randrange(400, 560)
+    offset = 2**60 if rng.random() < 0.4 else 0
+    xs = sorted(rng.sample(range(10**6), n))
+    ys = sorted(rng.sample(range(10**6), n), reverse=True)
+    zs = sorted(rng.sample(range(10**6), n))
+    anti = [
+        (x, y, z, *(rng.randrange(10**6) for _ in range(d - 3)))[:d]
+        for x, y, z in zip(xs, ys, zs)
+    ]
+    above = []
+    for _ in range(rng.randrange(n // 5)):
+        p = rng.choice(anti)
+        if rng.random() < 0.5:
+            above.append((p[0] + rng.randrange(10**6),) + p[1:])
+        else:
+            above.append(tuple(
+                INF if rng.random() < 0.05 else c + rng.choice([0, 0, rng.randrange(10**6)])
+                for c in p
+            ))
+    pts = [tuple(c if c == INF else c + offset for c in p) for p in anti + above]
+    pts += rng.choices(pts, k=rng.randrange(28))
+    rng.shuffle(pts)
+    return pts
+
+
 def test_min_max_elements_match_pairwise_scan():
     rng = random.Random(7)
     sizes = set()
@@ -358,6 +404,28 @@ def test_min_max_elements_match_pairwise_scan():
         assert maxs == brute_max_elements(pts)
         sizes.add((len(set(pts)) > len(mins) > 1, len(set(pts)) > len(maxs) > 1))
     assert (True, True) in sizes  # antichains strictly inside the input occur
+    # Sets of several chunks.  A point that no point of its own chunk lies
+    # below (above, for the maxima, whose chunks run in reverse order) but
+    # that is not extremal has a dominator in an earlier chunk.
+    chunked = across_min = across_max = 0
+    for case in range(7):
+        d = 1 + case % 5
+        pts = wide_point_set(rng, d)
+        mins, maxs = min_elements(pts), max_elements(iter(pts))
+        assert mins == brute_min_elements(pts)
+        assert maxs == brute_max_elements(pts)
+        up, down = sorted(set(pts)), sorted(set(pts), reverse=True)
+        chunked += len(up) > 2 * _BLOCK
+        for i in range(0, len(up), _BLOCK):
+            lo, hi = up[i : i + _BLOCK], down[i : i + _BLOCK]
+            across_min += sum(
+                not any(q != p and vleq(q, p) for q in lo) for p in set(lo) - mins
+            )
+            across_max += sum(
+                not any(q != p and vleq(p, q) for q in hi) for p in set(hi) - maxs
+            )
+    assert chunked >= 4, chunked
+    assert across_min >= 20 and across_max >= 20, (across_min, across_max)
 
 
 def test_min_max_elements_edge_cases():
@@ -372,6 +440,47 @@ def test_min_max_elements_edge_cases():
             min_elements(mixed)
         with pytest.raises(ValueError, match="dimension"):
             max_elements(mixed)
+
+
+# Peak RSS the two calls below may add, in MB: the blocked kernel adds
+# about 12 MB; masks over all n points, n^2 / 8 bytes per list of masks,
+# add about 100 MB at this n.
+EXTREMES_RSS_MB = 40
+
+
+def test_min_max_elements_memory_is_bounded():
+    # A 20,000-point antichain in three dimensions near 2^60 (x rising,
+    # y falling), with 2,000 points above it, in a subprocess so that the
+    # peak RSS is the kernel's own.
+    script = textwrap.dedent(f"""
+        import random, resource, time
+        from commrep.upset import max_elements, min_elements
+        rng = random.Random(18)
+        n, base = 20_000, 2**60
+        xs = sorted(rng.sample(range(2**40), n))
+        ys = sorted(rng.sample(range(2**40), n), reverse=True)
+        zs = rng.sample(range(2**40), n)
+        anti = [(base + x, base + y, base + z) for x, y, z in zip(xs, ys, zs)]
+        pts = anti + [(x + 1, y, z) for x, y, z in anti[::10]]
+        rng.shuffle(pts)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024
+        start = time.perf_counter()
+        mins, maxs = min_elements(pts), max_elements(pts)
+        elapsed = time.perf_counter() - start
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024
+        assert mins == set(anti), len(mins)
+        moved = {{(x + 1, y, z) for x, y, z in anti[::10]}}
+        assert maxs == set(anti) - set(anti[::10]) | moved, len(maxs)
+        assert peak - before < {EXTREMES_RSS_MB}, f"{{peak - before}} MB above {{before}} MB"
+        assert elapsed < 20, f"{{elapsed:.2f}} s"
+    """)
+    tests = str(Path(__file__).resolve().parent)
+    src = str(Path(commrep.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, tests])}
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
 
 
 @given(upsets, upsets)

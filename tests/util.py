@@ -19,7 +19,6 @@ from commrep import (
     equal_fn,
     to_equalities,
 )
-from commrep.upset import max_elements
 from commrep.vectors import residual, unit, vadd, vleq, vsub, vsup, zero
 
 
@@ -233,7 +232,7 @@ def scan_complement_maxima(upset: UpSet) -> set:
                 continue
             near = [r for r in kept if r[i] == c - 1]
             split = (p[:i] + (c - 1,) + p[i + 1 :] for p in above)
-            kept.extend(max_elements(
+            kept.extend(brute_max_elements(
                 q for q in split if not any(all(map(operator.le, q, r)) for r in near)
             ))
         maxima = kept
