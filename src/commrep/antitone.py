@@ -196,9 +196,9 @@ class Rep(_PointSet):
         A minimal solution is always the supremum of the prescribed vectors
         lying below it, so the minimal generators are found among subset
         suprema whose value meet drops below alpha: the union of the meet
-        profile's antichains at values at or below alpha.  When just one
-        antichain lies there it is the sublevel's generator set as it is,
-        sorted and minimal; only a union of several is minimised again.
+        profile's antichains at values at or below alpha.  When at most one
+        antichain lies there it is the sublevel's generator set as it is
+        (none gives the empty set); only a union of several is minimised.
         """
         alpha = self.lattice.resolve(alpha)
         if alpha not in self._levels:

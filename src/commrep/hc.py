@@ -106,8 +106,8 @@ def _hc8_witness(rep: Rep):
     # value at a - b + e_j grows with b, so only the largest b <= a with
     # eval(b) = j matter: each is vinf(a, p) for a complement maximum p of
     # the union of the sublevels of j's lower covers, which the rep caches
-    # with its sublevels' maxima: the union over one cover is its sublevel,
-    # taken as it is, and only a union over several is minimised.
+    # with its sublevels' maxima: the union over one cover is its sublevel
+    # as it is, over none (below the bottom) empty, over several minimised.
     # Every pooled candidate is some b <= a, checked with its own value.
     _require_encoding(rep)
     lat = rep.lattice

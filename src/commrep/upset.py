@@ -119,16 +119,16 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _dominated(q: Vec, i: int, near: int, at_least) -> bool:
-    # Whether a maximum in near, whose coordinates i all equal q_i, lies at
-    # or above q on every other coordinate j; at_least(j, c) is the mask of
-    # the maxima whose coordinate j is at or above c.
+def _dominated(q: Vec, i: int, mask: int, at_least) -> bool:
+    # Whether a maximum in mask, all at or above q_i on coordinate i, lies
+    # at or above q on every other coordinate j; at_least(j, c) is the mask
+    # of the maxima whose coordinate j is at or above c.
     for j, c in enumerate(q):
+        if not mask:
+            break
         if j != i:
-            near &= at_least(j, c)
-            if not near:
-                return False
-    return True
+            mask &= at_least(j, c)
+    return mask != 0
 
 
 class _Below:
@@ -232,10 +232,10 @@ class UpSet:
     @classmethod
     def _from_antichains(cls, dim: int, parts: Sequence[tuple[Vec, ...]]) -> "UpSet":
         # The upward closure of the union of sorted antichains of checked
-        # vectors: just one is the generator set as it is, sorted and
-        # minimal; only a union of several is minimised again.
-        if len(parts) == 1:
-            return cls._from_antichain(dim, parts[0])
+        # vectors: at most one is the generator set as it is (none is the
+        # empty set); only a union of several is minimised again.
+        if len(parts) <= 1:
+            return cls._from_antichain(dim, parts[0] if parts else ())
         return cls._from_checked(dim, (v for anti in parts for v in anti))
 
     @classmethod
@@ -281,37 +281,36 @@ class UpSet:
 
         Notes
         -----
-        The maxima are built by adding the generators one at a time (one
-        step of Berge's transversal multiplication; Fredman & Khachiyan
-        1996 bound its output-sensitive cost).  Outside the empty set the
-        only maximum is the all-INF point.  Adding a generator g removes
-        exactly the maxima p with g <= p; each is replaced by the points
-        ``p[i := g_i - 1]`` for the coordinates with g_i > 0, which lie
-        below p and outside the upward closure of g.  A replacement that is
-        not maximal lies below another replacement or below a maximum that
-        g left alone.  For the latter, r >= p[i := g_i - 1] with r not above
-        g forces r_i = g_i - 1, so only those r, the near ones, are
-        compared.  Replacements made on different coordinates never compare
-        (each is at or above g on the other's coordinate), so each
-        coordinate keeps its own maxima.
+        The maxima are built by adding the generators one at a time (one step
+        of Berge's transversal multiplication; Fredman & Khachiyan 1996 bound
+        its output-sensitive cost).  Outside the empty set the only maximum is
+        the all-INF point.  Adding a generator g removes exactly the maxima p
+        with g <= p; each is replaced by the points ``q = p[i := g_i - 1]`` for
+        the coordinates with g_i > 0, which lie below p and outside the upward
+        closure of g.  One rule decides each q: it is kept unless another live
+        maximum r lies at or above it.  Such an r has r_j >= p_j >= g_j for
+        every j != i, so it is near (r_i = g_i - 1) or above g, and only those
+        are searched.  An r above g lies above q exactly when its own
+        replacement on coordinate i does, which is not q (maxima that differ
+        only at coordinate i would compare).  Replacements made on different
+        coordinates never compare (each is at or above g on the other's
+        coordinate).
 
         The comparisons are bitmask dominance queries (Tan, Eng & Ooi, VLDB
-        2001).  Each live maximum holds one bit, and each coordinate keeps
-        the sorted values that live maxima take there, each with the mask
-        of those maxima.  The maxima at or above c on coordinate i are the
-        OR of the masks from ``bisect_left(values, c)`` on (or the live
-        maxima without the OR of the masks before it, if that side is
-        shorter); the maxima above g are the AND of those sets over the
-        coordinates with g_i > 0; the near ones are the mask at g_i - 1;
-        and a replacement q is dropped when the near mask ANDed with the
-        maxima at or above q_j on every other coordinate j is not empty.
-        Every question about one generator is asked before its maxima
-        change.  Then the removed maxima leave every mask and free their
-        bits for the replacements, so the masks and the sorted values grow
-        with the live antichain only.  Coordinates are only compared, so
-        the result is exact for coordinates of any size.
+        2001).  Each live maximum holds one bit, and each coordinate keeps the
+        sorted values that live maxima take there, each with the mask of those
+        maxima.  The maxima at or above c on coordinate i are the OR of the
+        masks from ``bisect_left(values, c)`` on; the maxima above g are the
+        AND of those sets over the coordinates with g_i > 0, and the near ones
+        the mask at g_i - 1.  q is dropped when the near and above masks
+        without p's bit, ANDed with the maxima at or above q_j on each other
+        coordinate j, leave a bit.  Every question about one generator is asked
+        before its maxima change.  Then the removed maxima leave every mask and
+        free their bits for the replacements, so the masks and the sorted
+        values grow with the live antichain only.  Coordinates are only
+        compared, so the result is exact for coordinates of any size.
 
-        Kept apart from ``antitone._Below``, whose cumulative masks give a
+        Kept apart from :class:`_Below`, whose cumulative masks give a
         fixed set O(log) queries: the changing antichain wants per-value
         masks with O(1) updates.  Each shared kernel tried was slower.
         """
@@ -351,12 +350,13 @@ class UpSet:
             for i, c in enumerate(g):
                 if c == 0:
                     continue
-                split = [p[:i] + (c - 1,) + p[i + 1 :] for _, p in old]
+                # near or above g; one above g has coordinate i >= c, so k is in range
                 k = bisect_left(values[i], c - 1)
-                if k < len(values[i]) and values[i][k] == c - 1:
-                    near = masks[i][k]
-                    split = [q for q in split if not _dominated(q, i, near, at_least)]
-                new.extend(max_elements(split) if len(split) > 1 else split)
+                start = above | (masks[i][k] if values[i][k] == c - 1 else 0)
+                for b, p in old:
+                    q = p[:i] + (c - 1,) + p[i + 1 :]
+                    if not _dominated(q, i, start ^ (1 << b), at_least):  # not p
+                        new.append(q)
             live &= ~above
             for b, p in old:
                 bit = 1 << b

@@ -260,8 +260,8 @@ def test_hc7_shifts_each_sublevel_once_per_unit_vector(monkeypatch):
 
 def test_hc8_minimises_only_unions_over_several_covers(monkeypatch):
     # With the sublevels built, the union over a single lower cover is that
-    # cover's sublevel as it is; only the empty union below the bottom and
-    # unions over two or more covers are minimised.
+    # cover's sublevel as it is and the empty union below the bottom is the
+    # empty set; only unions over two or more covers are minimised.
     rng = random.Random(18)
     reps = [example("B")[1], example("B7")[1], fixture_rep("fails_hc8")]
     reps += [random_rep(rng, bool4(), 4, max_coord=3, max_points=5) for _ in range(5)]
@@ -271,7 +271,7 @@ def test_hc8_minimises_only_unions_over_several_covers(monkeypatch):
         calls = count_calls(monkeypatch, upset, "min_elements")
         assert _hc8_witness(rep) == witness
         lat = rep.lattice
-        assert len(calls) == sum(len(lat.lower_covers(j)) != 1 for j in range(lat.m))
+        assert len(calls) == sum(len(lat.lower_covers(j)) > 1 for j in range(lat.m))
         monkeypatch.undo()
 
 

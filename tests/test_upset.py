@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import commrep
-from commrep import INF, Rep, UpSet, chain
+from commrep import INF, Rep, UpSet, chain, upset
 from commrep.upset import _BLOCK, max_elements, min_elements
 from commrep.vectors import residual, vadd, vleq, vsup
 
@@ -20,6 +20,7 @@ from util import (
     brute_complement_maxima,
     brute_max_elements,
     brute_min_elements,
+    count_split_drops,
     hyperplane,
     scan_complement_maxima,
 )
@@ -86,14 +87,17 @@ def random_upset(rng, d=None, off=0) -> UpSet:
 def test_complement_maxima_matches_brute_force():
     rng = random.Random(7)
     seen = set()
+    split_drops = 0  # sets where a replacement lies below another of its split
     for _ in range(200):
         u = random_upset(rng)
         assert u.complement_maxima() == brute_complement_maxima(u), u
         seen.add((u.dim, len(u.gens) > 4, u.is_empty, u.gens == ((0,) * u.dim,)))
+        split_drops += count_split_drops(u) > 0
     assert {d for d, *_ in seen} == set(SIDE)
     assert any(big for _, big, _, _ in seen)
     assert any(empty for *_, empty, _ in seen)
     assert any(zero for *_, zero in seen)
+    assert split_drops >= 29, split_drops
 
 
 def test_complement_maxima_exact_for_big_coordinates():
@@ -155,7 +159,7 @@ def test_complement_maxima_matches_scan_kernel():
     # The bitmask kernel against the list-scan kernel it replaced, on wide
     # antichains in two to seven dimensions, every third moved up by 2^60.
     rng = random.Random(14)
-    widest = 0
+    widest = split_drops = 0
     for case in range(90):
         d = 2 + case % 6
         u = wide_antichain(rng, d)
@@ -163,7 +167,9 @@ def test_complement_maxima_matches_scan_kernel():
             u = UpSet.from_points(d, [tuple(c + 2**60 for c in g) for g in u.gens])
         assert u.complement_maxima() == scan_complement_maxima(u), u
         widest = max(widest, len(u.gens))
+        split_drops += count_split_drops(u) > 0
     assert widest >= 250, widest
+    assert split_drops >= 73, split_drops
 
 
 def test_complement_maxima_hyperplane_in_eight_dimensions():
@@ -177,17 +183,45 @@ def test_complement_maxima_hyperplane_in_eight_dimensions():
     assert elapsed < 2.0, elapsed
 
 
+def matching(k: int) -> UpSet:
+    # {e_2i + e_2i+1 : i < k} in 2k dimensions, a sorted antichain
+    d = 2 * k
+    gens = sorted(tuple(int(j // 2 == i) for j in range(d)) for i in range(k))
+    return UpSet._from_antichain(d, tuple(gens))
+
+
+def matching_maxima(k: int) -> set:
+    # 0 on one coordinate of each pair and INF on the other
+    return {sum(choice, ()) for choice in product([(0, INF), (INF, 0)], repeat=k)}
+
+
 @pytest.mark.parametrize("k", [8, 9, 10])
 def test_complement_maxima_of_a_matching_in_closed_form(k):
     # Outside the upset of {e_2i + e_2i+1 : i < k} every pair (2i, 2i+1)
     # has a 0 coordinate, so the maxima put 0 on one coordinate of each
     # pair and INF on the other: 2^k of them.
-    d = 2 * k
-    gens = sorted(tuple(int(j // 2 == i) for j in range(d)) for i in range(k))
-    maxima = UpSet._from_antichain(d, tuple(gens)).complement_maxima()
-    pairs = product([(0, INF), (INF, 0)], repeat=k)
-    assert maxima == {sum(choice, ()) for choice in pairs}
+    maxima = matching(k).complement_maxima()
+    assert maxima == matching_maxima(k)
     assert len(maxima) == 2**k
+
+
+def test_complement_maxima_decides_with_its_own_masks(monkeypatch):
+    # One dominance rule per replacement, answered by the per-value masks:
+    # neither max_elements nor the minima kernel under it is called.
+    rng = random.Random(7)
+    sets = [random_upset(rng) for _ in range(200)]
+    rng = random.Random(14)
+    sets += [wide_antichain(rng, 2 + case % 6) for case in range(90)]
+    sets += [matching(8), UpSet._from_antichain(5, tuple(hyperplane(5, 6)))]
+    want = [u.complement_maxima() for u in sets]
+
+    def forbidden(*args):
+        raise AssertionError("complement_maxima called the minima kernel")
+
+    monkeypatch.setattr(upset, "max_elements", forbidden)
+    monkeypatch.setattr(upset, "_minima", forbidden)
+    assert [u.complement_maxima() for u in sets] == want
+    assert want[-2] == matching_maxima(8) and want[-1] == set(hyperplane(5, 5))
 
 
 # Peak RSS the kernel may add in the run below, in MB: the masks take

@@ -239,6 +239,29 @@ def scan_complement_maxima(upset: UpSet) -> set:
     return set(maxima)
 
 
+def count_split_drops(upset: UpSet) -> int:
+    """How many replacements the scans of :func:`scan_complement_maxima`
+    drop only because another replacement of the same generator and
+    coordinate lies above them: those that no near maximum lies above but
+    that are not maximal among their split."""
+    maxima, drops = [(INF,) * upset.dim], 0
+    for g in upset.gens:
+        above, kept = [], []
+        for p in maxima:
+            (above if all(map(operator.le, g, p)) else kept).append(p)
+        for i, c in enumerate(g):
+            if c == 0:
+                continue
+            near = [r for r in kept if r[i] == c - 1]
+            split = [p[:i] + (c - 1,) + p[i + 1 :] for p in above]
+            split = [q for q in split if not any(all(map(operator.le, q, r)) for r in near)]
+            top = brute_max_elements(split)
+            drops += len(split) - len(top)
+            kept.extend(top)
+        maxima = kept
+    return drops
+
+
 def brute_hc7_holds(rep: Rep) -> bool:
     """Join distributivity compared pointwise on a sufficient box."""
     lat = rep.lattice
