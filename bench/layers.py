@@ -1,7 +1,8 @@
-"""Per-layer timings of commrep's antichain primitives, with scaling slopes.
+"""Per-layer timings of commrep's antichain primitives and of
+``Rep.complete``, with scaling slopes.
 
-Times ``min_elements``, ``max_elements`` and ``UpSet.complement_maxima`` on
-two families at four sizes each:
+Times ``min_elements``, ``max_elements``, ``UpSet.complement_maxima`` and
+``Rep.complete`` on two families at four sizes each:
 
 - hyperplanes ``{x in N^d : sum x = s}`` for d = 3 to 8, antichains whose
   complement maxima are the hyperplane at s - 1;
@@ -9,12 +10,16 @@ two families at four sizes each:
   2^k complement maxima put 0 on one coordinate of each pair and INF on
   the other; ``min_elements`` and ``max_elements`` run on those maxima.
 
+``Rep.complete`` runs on a fresh ``Rep`` over ``chain(2)`` that values each
+point of the antichain 0.  Its output is the antichain at 0, the complement
+maxima at 1 and the zero vector, the one generator of the top level, at 1.
+
 Every output is checked against its closed form.  Each case reports the
-best time per call over three samples, and each family the least-squares
-slope of log time against log points handled (input plus output), so a
-change in how a layer scales shows even while its smallest size stays
-fast.  Only the standard library is used; commrep is imported from
-``src/`` of this checkout.
+best time per call over three samples and every sample's time per call,
+and each family the least-squares slope of log time against log points
+handled (input plus output), so a change in how a layer scales shows
+even while its smallest size stays fast.  Only the standard library is
+used; commrep is imported from ``src/`` of this checkout.
 
     python3 bench/layers.py --out BENCH.json             # every size
     python3 bench/layers.py --out smoke.json --sizes 2   # two smallest sizes
@@ -35,7 +40,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from commrep import INF, UpSet  # noqa: E402
+from commrep import INF, Rep, UpSet, chain  # noqa: E402
 from commrep.upset import max_elements, min_elements  # noqa: E402
 
 # The hyperplane sums per dimension, chosen so that each family spans
@@ -49,6 +54,7 @@ HYPERPLANE_SUMS = {
     8: (2, 3, 4, 6),
 }
 MATCHING_PAIRS = (8, 9, 10, 11)
+CHAIN_2 = chain(2)
 
 # A sample repeats the call until it has run this long, in seconds.
 SAMPLE_S = 0.05
@@ -70,6 +76,17 @@ def matching_maxima(k: int) -> set:
     return {sum(c, ()) for c in product([(0, INF), (INF, 0)], repeat=k)}
 
 
+def complete_case(d: int, gens, maxima):
+    """A call of ``complete()`` on a fresh rep valuing gens 0, and its points."""
+    points = tuple((g, 0) for g in gens)
+    expected = {(g, 0) for g in gens} | {(m, 1) for m in maxima} | {((0,) * d, 1)}
+
+    def call():
+        return Rep._from_checked(CHAIN_2, d, points).complete().points
+
+    return call, tuple(sorted(expected))
+
+
 def cases(sizes: int):
     """(layer, family, size label, call, points in, expected output)."""
     for d, sums in HYPERPLANE_SUMS.items():
@@ -81,6 +98,8 @@ def cases(sizes: int):
             yield "min_elements", family, f"s={s}", lambda p=pts: min_elements(p), len(pts), set(pts)
             yield "max_elements", family, f"s={s}", lambda p=pts: max_elements(p), len(pts), set(pts)
             yield "complement_maxima", family, f"s={s}", up.complement_maxima, len(pts), below
+            call, points = complete_case(d, pts, below)
+            yield "complete", family, f"s={s}", call, len(pts), points
     for k in MATCHING_PAIRS[:sizes]:
         family = "matching"
         maxima = matching_maxima(k)
@@ -88,10 +107,13 @@ def cases(sizes: int):
         yield "complement_maxima", family, f"k={k}", matching(k).complement_maxima, k, maxima
         yield "min_elements", family, f"k={k}", lambda p=pts: min_elements(p), len(pts), maxima
         yield "max_elements", family, f"k={k}", lambda p=pts: max_elements(p), len(pts), maxima
+        call, points = complete_case(2 * k, matching(k).gens, maxima)
+        yield "complete", family, f"k={k}", call, k, points
 
 
-def best_time(call) -> tuple[float, int]:
-    """The best seconds per call over three samples, and the calls made."""
+def best_time(call) -> tuple[float, int, list[float]]:
+    """The best seconds per call over three samples, the calls made, and
+    each sample's seconds per call, which show the spread."""
     number = 1
     while True:
         start = time.perf_counter()
@@ -107,7 +129,8 @@ def best_time(call) -> tuple[float, int]:
         for _ in range(number):
             call()
         samples.append(time.perf_counter() - start)
-    return min(samples) / number, 3 * number
+    per_call = [t / number for t in samples]
+    return min(per_call), 3 * number, per_call
 
 
 def slope(points: list[tuple[int, float]]) -> float | None:
@@ -127,7 +150,7 @@ def run(sizes: int) -> dict:
         out = call()
         if out != expected:
             raise AssertionError(f"{layer} on {family} {size}: wrong output")
-        seconds, calls = best_time(call)
+        seconds, calls, samples = best_time(call)
         rows.append({
             "layer": layer,
             "family": family,
@@ -135,6 +158,7 @@ def run(sizes: int) -> dict:
             "points_in": n_in,
             "points_out": len(out),
             "seconds": seconds,
+            "samples": samples,
             "calls": calls,
         })
         print(f"{layer:18} {family:16} {size:5} {n_in:6} -> {len(out):6}  "

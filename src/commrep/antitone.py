@@ -28,6 +28,7 @@ from .upset import UpSet, _Below, _neg, min_elements
 from .vectors import (
     INF,
     Vec,
+    _check_dim,
     as_ext_vec,
     as_nat_vec,
     residual,
@@ -99,13 +100,12 @@ class Rep(_PointSet):
     lie below the query; the index is built on the first evaluation that
     misses the memo of values.  The meet profile, the sublevels, the
     complement maxima of each distinct upset, the canonical
-    representation and the hc1 and hc2 witnesses of :mod:`commrep.hc` are
-    computed once and kept.
+    representation and the hc1, hc2, hc7 and hc8 witnesses of
+    :mod:`commrep.hc` are computed once and kept.
     """
 
     def __init__(self, lattice: Lattice, dim: int, points: Iterable = ()):
-        if dim < 1:
-            raise ValueError("dimension must be at least 1")
+        _check_dim(dim)
         merged: dict[Vec, int] = {}
         for vec, val in points:
             v = as_nat_vec(vec, dim)
@@ -240,16 +240,15 @@ class Rep(_PointSet):
         For every lattice element the minimal vectors of its sublevel and
         the maximal vectors outside it are collected; exactly one antitone
         function passes through the resulting evaluated point set, which
-        :func:`check_complete` accepts.  The sublevels and their complement
-        maxima are the ones the rep keeps.  The points are checked vectors
-        with element indices and one value per vector, so the result is
-        built without the coercion of the :class:`ExtRep` constructor.
+        :func:`check_complete` accepts.  The generators carry their canonical
+        values, as in :meth:`canonical`; only the complement maxima, which
+        the rep keeps per sublevel, are evaluated.  The points are checked
+        vectors with element indices and one value per vector, so the result
+        is built without the coercion of the :class:`ExtRep` constructor.
         """
-        pts: dict[Vec, int] = {}
-        for a in range(self.lattice.m):
-            level = self.sublevel(a)
-            for vec in level.gens:
-                pts.setdefault(vec, self._value_at(vec))
+        levels = [self.sublevel(a) for a in range(self.lattice.m)]
+        pts = _level_values(self.lattice, levels)
+        for level in levels:
             for vec in self._maxima_outside(level):
                 pts.setdefault(vec, self._value_at(vec))
         return ExtRep._from_checked(self.lattice, self.dim, sorted(pts.items()))
@@ -287,8 +286,7 @@ class ExtRep(_PointSet):
     """
 
     def __init__(self, lattice: Lattice, dim: int, points: Iterable = ()):
-        if dim < 1:
-            raise ValueError("dimension must be at least 1")
+        _check_dim(dim)
         seen: dict[Vec, int] = {}
         for vec, val in points:
             v = as_ext_vec(vec, dim)
@@ -382,6 +380,10 @@ def join_fn(r1: Rep, r2: Rep) -> Rep:
 def _rep_from_level_minima(
     lattice: Lattice, dim: int, levels: Sequence[UpSet]
 ) -> Rep:
+    return Rep._from_checked(lattice, dim, sorted(_level_values(lattice, levels).items()))
+
+
+def _level_values(lattice: Lattice, levels: Sequence[UpSet]) -> dict[Vec, int]:
     # levels[a] must be the a-sublevel of an antitone function F.  A minimal
     # vector g of any sublevel lies in the a-sublevel only when a >= F(g),
     # and generates the F(g)-sublevel, so F(g) is the meet of the levels g
@@ -390,4 +392,4 @@ def _rep_from_level_minima(
     for a, level in enumerate(levels):
         for g in level.gens:
             pts[g] = lattice.meet(pts[g], a) if g in pts else a
-    return Rep._from_checked(lattice, dim, sorted(pts.items()))
+    return pts

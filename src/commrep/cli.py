@@ -37,7 +37,7 @@ def _read_doc(path: str | None):
             return json.loads(sys.stdin.read())
         with open(path, "r", encoding="utf-8") as fh:
             return json.loads(fh.read())
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise cio.ParseError(f"invalid JSON: {exc}") from exc
 
 

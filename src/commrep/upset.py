@@ -16,7 +16,7 @@ from functools import reduce
 from itertools import compress, islice
 from typing import Iterable, Iterator, Sequence, Set
 
-from .vectors import INF, Vec, as_ext_vec, as_nat_vec, vleq
+from .vectors import INF, Vec, _check_dim, as_ext_vec, as_nat_vec, vleq
 
 __all__ = ["UpSet", "max_elements", "min_elements"]
 
@@ -212,6 +212,7 @@ class UpSet:
     gens: tuple[Vec, ...]
 
     def __post_init__(self):
+        _check_dim(self.dim)
         for g in self.gens:
             as_nat_vec(g, self.dim)
         if self.gens != tuple(sorted(min_elements(self.gens))):
@@ -220,6 +221,7 @@ class UpSet:
     @classmethod
     def from_points(cls, dim: int, points: Iterable[Vec]) -> "UpSet":
         """Upward closure of an arbitrary finite set; keeps only minimal points."""
+        _check_dim(dim)
         return cls._from_checked(dim, {as_nat_vec(p, dim) for p in points})
 
     @classmethod

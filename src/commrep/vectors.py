@@ -63,6 +63,13 @@ def as_ext_vec(v, dim: int | None = None) -> Vec:
     return out
 
 
+def _check_dim(dim) -> None:
+    if not isinstance(dim, int) or isinstance(dim, bool):
+        raise ValueError(f"dimension must be an int, got {dim!r}")
+    if dim < 1:
+        raise ValueError("dimension must be at least 1")
+
+
 def is_finite_vec(v: Vec) -> bool:
     return all(not (isinstance(c, float) and math.isinf(c)) for c in v)
 

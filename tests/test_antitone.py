@@ -32,6 +32,7 @@ from commrep import (
 from util import (
     box,
     brute_check_complete,
+    brute_complete,
     brute_eval,
     brute_eval_ext,
     brute_meet_profile,
@@ -79,9 +80,21 @@ def test_eval_dimension_checks(div52, rep_g):
 
 
 def test_dimension_must_be_positive(div52):
-    for cls in (Rep, ExtRep):
-        with pytest.raises(ValueError, match="^dimension must be at least 1$"):
-            cls(div52, 0)
+    # every public constructor takes an int, not a bool, of at least 1
+    builds = (
+        lambda d: Rep(div52, d),
+        lambda d: ExtRep(div52, d),
+        lambda d: UpSet(d, ()),
+        lambda d: UpSet.from_points(d, []),
+    )
+    for build in builds:
+        for dim in (0, -1, -2):
+            with pytest.raises(ValueError, match="^dimension must be at least 1$"):
+                build(dim)
+        for dim in (1.5, 2.0, "2", True, None):
+            with pytest.raises(ValueError, match="^dimension must be an int, got "):
+                build(dim)
+        assert build(2).dim == 2
 
 
 def test_equal_reps_hash_alike(div52):
@@ -221,6 +234,35 @@ def test_complete_output_is_complete(rep_g):
     assert check_complete(rep_g, rep_g.complete())
 
 
+def test_complete_values_generators_by_their_levels_and_evaluates_only_maxima(
+    monkeypatch,
+):
+    # complete() values each sublevel generator by the meet of the levels it
+    # generates, as canonical() does, and evaluates each complement maximum,
+    # so _value_at sees exactly the maxima.  The points match every critical
+    # point valued on its own: by the box scan of brute_eval_ext, or for the
+    # reps offset by 2^60, whose box would be 2^60 wide, by the point scan.
+    rng = random.Random(29)
+    lattices = lattice_catalog()
+    calls = count_calls(monkeypatch, Rep, "_value_at")
+    unevaluated = 0
+    for i in range(450):
+        lat = lattices[i % len(lattices)]
+        d = rng.randrange(1, 4)
+        rep = random_rep(rng, lat, d, max_coord=4, max_points=6)
+        if i % 3 == 0:
+            rep = Rep(lat, d, [(tuple(c + 2**60 for c in v), e) for v, e in rep.points])
+        calls.clear()
+        comp = rep.complete()
+        levels = [rep.sublevel(a) for a in range(lat.m)]
+        maxima = set().union(*(level.complement_maxima() for level in levels))
+        assert {vec for _, vec in calls} == maxima
+        unevaluated += len({g for level in levels for g in level.gens} - maxima)
+        expected = brute_complete(rep, brute_eval if i % 3 == 0 else brute_eval_ext)
+        assert comp.points == expected
+    assert unevaluated >= 900, unevaluated
+
+
 def test_known_ten_point_set_accepted(rep_g, known_g2):
     assert check_complete(rep_g, known_g2)
     for vec, val in known_g2.points:
@@ -291,8 +333,8 @@ def test_equal_sublevels_share_their_complement_maxima(monkeypatch):
 def test_check_complete_builds_no_index_when_ext_holds_every_critical_point(
     monkeypatch, name
 ):
-    # complete() evaluates through rep's own index, so every index built
-    # from here on would be one over ext
+    # complete() builds rep's own index when it evaluates the complement
+    # maxima, so every index built from here on would be one over ext
     _, rep = example(name)
     comp = rep.complete()
     calls = count_calls(monkeypatch, antitone, "_Below")

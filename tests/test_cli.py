@@ -252,14 +252,27 @@ def test_io_error_exit_codes(capsys, tmp_path, monkeypatch):
 
 
 
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 @pytest.mark.parametrize(
     "data",
-    [b'\xff\xfe{"a": 1}', b"[" * 100_000 + b"]" * 100_000],
-    ids=["not-utf-8", "too-deep"],
+    [
+        b'\xff\xfe{"a": 1}',
+        b"[" * 100_000 + b"]" * 100_000,
+        pytest.param(
+            b'{"dimension": 1, "points": [{"vec": [' + b"7" * 5000 + b'], "value": "0"}]}',
+            marks=pytest.mark.skipif(
+                not 0 < DIGIT_LIMIT < 5000, reason="no integer digit limit below 5,000"
+            ),
+        ),
+    ],
+    ids=["not-utf-8", "too-deep", "too-many-digits"],
 )
 def test_undecodable_json_text_exits_2(capsys, tmp_path, monkeypatch, data):
-    # a byte that is not UTF-8 and nesting deeper than the parser's
-    # recursion limit are input errors like any other invalid JSON
+    # a byte that is not UTF-8, nesting deeper than the parser's recursion
+    # limit and an integer longer than the interpreter converts are input
+    # errors like any other invalid JSON
     path = tmp_path / "doc.json"
     path.write_bytes(data)
     code, _, err = run(capsys, ["canonical", "--rep", str(path)])

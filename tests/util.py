@@ -239,6 +239,18 @@ def scan_complement_maxima(upset: UpSet) -> set:
     return set(maxima)
 
 
+def brute_complete(rep: Rep, evaluate=brute_eval_ext) -> tuple:
+    """The points of ``complete()`` with every critical point valued on its
+    own: each sublevel generator and each maximum outside a sublevel (the
+    latter from the list scans of :func:`scan_complement_maxima`), sorted,
+    with its value from ``evaluate``."""
+    crit = set()
+    for a in range(rep.lattice.m):
+        level = rep.sublevel(a)
+        crit |= set(level.gens) | scan_complement_maxima(level)
+    return tuple(sorted((v, evaluate(rep, v)) for v in crit))
+
+
 def count_split_drops(upset: UpSet) -> int:
     """How many replacements the scans of :func:`scan_complement_maxima`
     drop only because another replacement of the same generator and
