@@ -1,5 +1,5 @@
-"""Per-layer timings of commrep's antichain primitives and of
-``Rep.complete``, with scaling slopes.
+"""Per-layer timings of commrep's antichain primitives, of
+``Rep.complete`` and of the hc7 decider, with scaling slopes.
 
 Times ``min_elements``, ``max_elements``, ``UpSet.complement_maxima`` and
 ``Rep.complete`` on two families at four sizes each:
@@ -13,6 +13,19 @@ Times ``min_elements``, ``max_elements``, ``UpSet.complement_maxima`` and
 ``Rep.complete`` runs on a fresh ``Rep`` over ``chain(2)`` that values each
 point of the antichain 0.  Its output is the antichain at 0, the complement
 maxima at 1 and the zero vector, the one generator of the top level, at 1.
+
+hc7 (join distributivity, ``commrep.hc``) runs on the meet sequence
+``e_j -> j`` of two families of distributive lattices, where it holds, so
+its witness is None:
+
+- chains of m = 8 to 64 elements, where every pair of arguments is
+  comparable and, hc2 holding, skipped;
+- divisor lattices of n = 6, 30, 60 and 210 (m = 4 to 16 elements), where
+  the incomparable pairs are scanned on the sublevels' unit shifts.
+
+The first, checking call builds the rep's sublevels and decides its hc2,
+which the rep keeps, so the samples time hc7's own pair scan and shifts.
+Its points in are the lattice's m elements.
 
 Every output is checked against its closed form.  Each case reports the
 best time per call over three samples and every sample's time per call,
@@ -40,7 +53,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from commrep import INF, Rep, UpSet, chain  # noqa: E402
+from commrep import INF, Rep, UpSet, chain, divisor_lattice, unit  # noqa: E402
+from commrep.hc import _hc7_witness  # noqa: E402
 from commrep.upset import max_elements, min_elements  # noqa: E402
 
 # The hyperplane sums per dimension, chosen so that each family spans
@@ -54,6 +68,8 @@ HYPERPLANE_SUMS = {
     8: (2, 3, 4, 6),
 }
 MATCHING_PAIRS = (8, 9, 10, 11)
+CHAIN_SIZES = (8, 16, 32, 64)
+DIVISOR_LATTICES = (6, 30, 60, 210)
 CHAIN_2 = chain(2)
 
 # A sample repeats the call until it has run this long, in seconds.
@@ -87,6 +103,13 @@ def complete_case(d: int, gens, maxima):
     return call, tuple(sorted(expected))
 
 
+def hc7_case(lattice):
+    """hc7 on the meet sequence e_j -> j of a distributive lattice."""
+    m = lattice.m
+    rep = Rep._from_checked(lattice, m, tuple(sorted((unit(m, j), j) for j in range(m))))
+    return lambda: _hc7_witness(rep)
+
+
 def cases(sizes: int):
     """(layer, family, size label, call, points in, expected output)."""
     for d, sums in HYPERPLANE_SUMS.items():
@@ -109,6 +132,11 @@ def cases(sizes: int):
         yield "max_elements", family, f"k={k}", lambda p=pts: max_elements(p), len(pts), maxima
         call, points = complete_case(2 * k, matching(k).gens, maxima)
         yield "complete", family, f"k={k}", call, k, points
+    for m in CHAIN_SIZES[:sizes]:
+        yield "hc7", "chain", f"m={m}", hc7_case(chain(m)), m, None
+    for n in DIVISOR_LATTICES[:sizes]:
+        lattice = divisor_lattice(n)
+        yield "hc7", "divisors", f"n={n}", hc7_case(lattice), lattice.m, None
 
 
 def best_time(call) -> tuple[float, int, list[float]]:
@@ -150,18 +178,19 @@ def run(sizes: int) -> dict:
         out = call()
         if out != expected:
             raise AssertionError(f"{layer} on {family} {size}: wrong output")
+        n_out = 0 if out is None else len(out)
         seconds, calls, samples = best_time(call)
         rows.append({
             "layer": layer,
             "family": family,
             "size": size,
             "points_in": n_in,
-            "points_out": len(out),
+            "points_out": n_out,
             "seconds": seconds,
             "samples": samples,
             "calls": calls,
         })
-        print(f"{layer:18} {family:16} {size:5} {n_in:6} -> {len(out):6}  "
+        print(f"{layer:18} {family:16} {size:5} {n_in:6} -> {n_out:6}  "
               f"{seconds * 1e3:10.3f} ms", file=sys.stderr)
     groups: dict[tuple[str, str], list] = {}
     for r in rows:

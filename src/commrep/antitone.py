@@ -307,7 +307,10 @@ def check_complete(rep: Rep, ext: ExtRep) -> bool:
     does not drop below alpha.
 
     The points of ``ext`` are already checked by the :class:`ExtRep`
-    constructor, so step (i) evaluates them without coercing them again.
+    constructor, so step (i) reads them without coercing them again.  A
+    point that is a canonical vector is compared with its canonical value,
+    the rule :meth:`Rep.canonical` and :meth:`Rep.complete` use; only the
+    other points are evaluated.
     Once (i) holds, every point of ``ext`` carries F's value, so a critical
     point b that ``ext`` holds settles (ii) at b by itself: below a minimal
     vector b of the alpha-sublevel the meet is at most F(b) <= alpha, and
@@ -320,8 +323,9 @@ def check_complete(rep: Rep, ext: ExtRep) -> bool:
     """
     rep._compatible(ext)
     lat = rep.lattice
+    canon = dict(rep.canonical().points)
     for vec, val in ext.points:
-        if rep._value_at(vec) != val:
+        if (canon[vec] if vec in canon else rep._value_at(vec)) != val:
             return False
     held = dict(ext.points)
     below = above = None

@@ -155,17 +155,26 @@ def _hc7_witness(rep: Rep):
     # sublevels do, and shifting by a unit vector turns a sublevel U into
     # {x : x + e in U}, while the join's sublevel is the intersection.
     # For i = j both sides are the same set, so those triples are skipped.
-    # Each sublevel is shifted once by each unit vector, for all pairs.
+    # For comparable i <= j the join is j, and hc7 at (i, j) says
+    # F(x + e_j) = F(x + e_i) v F(x + e_j), that is F(x + e_i) <= F(x + e_j)
+    # for all x: hc2's condition at y = x + e_j for replacing j by i (and
+    # alike for j <= i).  So once hc2 holds no comparable pair separates,
+    # and those pairs are skipped; the first witness is the same.  Each
+    # sublevel is shifted once by each unit vector, when the first pair
+    # that is scanned reaches it, and the shifts serve all later pairs.
     _require_encoding(rep)
     lat = rep.lattice
-    shifts = [
-        [rep.sublevel(alpha).shift(unit(rep.dim, t)) for t in range(lat.m)]
-        for alpha in range(lat.m)
-    ]
+    monotone = _decided(rep, "hc2", _hc2_witness) is None
+    shifts: dict[int, list[UpSet]] = {}
     for i in range(lat.m):
         for j in range(i + 1, lat.m):
             k = lat.join(i, j)
+            if monotone and k in (i, j):
+                continue
             for alpha in range(lat.m):
+                if alpha not in shifts:
+                    level = rep.sublevel(alpha)
+                    shifts[alpha] = [level.shift(unit(rep.dim, t)) for t in range(lat.m)]
                 x = _hc7_separator(shifts[alpha], i, j, k)
                 if x is None:
                     continue
@@ -197,7 +206,9 @@ def check_hc2(rep: Rep) -> bool:
 
 
 def check_hc7(rep: Rep) -> bool:
-    """Join distributivity in each argument."""
+    """Join distributivity in each argument.  Decides hc2 first, through
+    the memo the other checks share: where hc2 holds, only pairs of
+    incomparable arguments are scanned."""
     return _decided(rep, "hc7", _hc7_witness) is None
 
 

@@ -34,6 +34,7 @@ from commrep.upset import UpSet
 from util import (
     bool4,
     brute_hc7_holds,
+    brute_hc7_separator,
     brute_hc7_witness,
     brute_hc8,
     count_calls,
@@ -223,6 +224,67 @@ def test_hc7_witness_matches_pairwise_shifts():
     assert atoms >= 100, atoms
 
 
+def test_hc7_holds_on_chains_where_hc2_holds():
+    # On a chain every pair of arguments is comparable, so hc2 alone
+    # decides hc7.  Each encoding over chains of 2 to 5 elements that is
+    # monotone passes the box comparison; those moved up by 2^60 in each
+    # nonzero coordinate, whose box is out of reach, have no witness in
+    # the pair-by-pair search.
+    rng = random.Random(22)
+    seen = {False: 0, True: 0}
+    for m, max_coord in ((2, 3), (3, 3), (4, 2), (5, 1)):
+        lat = chain(m)
+        for n in range(100):
+            rep = random_rep(rng, lat, m, max_coord=max_coord, max_points=5)
+            big = n % 4 == 3
+            if big:
+                rep = Rep(lat, m, [(tuple(c and c + BIG for c in v), e) for v, e in rep.points])
+            if not check_hc2(rep):
+                continue
+            assert _hc7_witness(rep) is None and check_hc7(rep)
+            assert brute_hc7_witness(rep) is None if big else brute_hc7_holds(rep), rep
+            seen[big] += 1
+    assert seen[False] >= 80 and seen[True] >= 25, seen
+
+
+def test_hc7_scans_comparable_pairs_where_hc2_fails():
+    # Where hc2 fails, comparable pairs can separate, and the first witness
+    # at one is still the pair-by-pair search's.
+    rng = random.Random(23)
+    lattices = small_lattices(max_size=4)
+    seen = {"chain": 0, "other": 0}
+    for n in range(600):
+        lat = rng.choice(lattices)
+        rep = random_rep(rng, lat, lat.m, max_coord=3, max_points=4)
+        if n % 5 == 4:
+            rep = Rep(lat, lat.m, [(tuple(c and c + BIG for c in v), e) for v, e in rep.points])
+        expected = brute_hc7_witness(rep)
+        if check_hc2(rep) or expected is None:
+            continue
+        i, j = (lat.index(name) for name in expected["joined"])
+        if lat.join(i, j) not in (i, j):
+            continue
+        assert _hc7_witness(rep) == expected, rep
+        is_chain = all(lat.leq(x, y) or lat.leq(y, x) for x in range(lat.m) for y in range(lat.m))
+        seen["chain" if is_chain else "other"] += 1
+    assert seen["chain"] >= 150 and seen["other"] >= 50, seen
+
+
+def test_hc7_reads_hc2_from_the_shared_memo(monkeypatch):
+    # check_hc7 on a fresh Rep decides hc2 first; the report after it
+    # reuses that answer and equals a fresh Rep's report.
+    reps = [example("B")[1], example("B7")[1]]
+    reps += [fixture_rep(name) for name in ("bool4_diamond", "fails_hc1", "fails_hc2", "fails_hc8")]
+    for rep in reps:
+        hc2 = count_calls(monkeypatch, hc, "_hc2_witness")
+        holds = check_hc7(rep)
+        report = admissibility_report(rep)
+        assert len(hc2) == 1
+        assert report["hc7"]["holds"] is holds
+        monkeypatch.undo()
+        assert report == admissibility_report(Rep(rep.lattice, rep.dim, rep.points))
+
+
 def test_canonical_rep_is_built_once_per_rep(monkeypatch):
     # admissibility_report (hc2, hc8), to_equalities and reduced_equalities
     # (itself and its hc2 check) all ask for the canonical representation
@@ -252,10 +314,38 @@ def test_hc1_and_hc2_are_decided_once_per_rep(monkeypatch):
 
 
 def test_hc7_shifts_each_sublevel_once_per_unit_vector(monkeypatch):
-    lat, rep = example("B")
+    # On the chain of B every pair of arguments is comparable and hc2
+    # holds, so hc7 shifts nothing.  On bool4 only the atoms a and b are
+    # incomparable; where hc2 holds, each sublevel their pair reaches is
+    # shifted once by each unit vector, in order, and no other is.
+    _, rep = example("B")
     calls = count_calls(monkeypatch, UpSet, "shift")
     assert _hc7_witness(rep) is None
-    assert len(calls) == len(set(calls)) == lat.m**2 == 9
+    assert calls == []
+    lat = bool4()
+    a, b, top = (lat.index(n) for n in ("a", "b", "1"))
+    meet = Rep(lat, 4, [(unit(4, j), j) for j in range(4)])
+    # bottom's and the atoms' unit vectors at 0, top's left at top: hc2
+    # holds, and the atoms separate on the first sublevel
+    atoms_low = Rep(lat, 4, [(unit(4, j), "0") for j in range(3)])
+    rng = random.Random(21)
+    reps = [meet, atoms_low] + [random_rep(rng, lat, 4, max_coord=2, max_points=5) for _ in range(60)]
+    reached = []
+    for rep in reps:
+        if not check_hc2(rep):
+            continue
+        calls.clear()
+        w = _hc7_witness(rep)
+        assert w is None or w["joined"] == ("a", "b")
+        alphas = [
+            alpha for alpha in range(lat.m)
+            if brute_hc7_separator(rep, a, b, top, alpha) is not None
+        ]
+        n = alphas[0] + 1 if alphas else lat.m
+        assert calls == [(rep.sublevel(alpha), unit(4, t)) for alpha in range(n) for t in range(4)]
+        reached.append(n)
+    assert _hc7_witness(meet) is None and check_hc7(meet)
+    assert reached[:2] == [4, 1] and len(reached) >= 15, reached
 
 
 def test_hc8_minimises_only_unions_over_several_covers(monkeypatch):
