@@ -1,8 +1,10 @@
 """Per-layer timings of commrep's antichain primitives, of
-``Rep.complete`` and of the hc7 decider, with scaling slopes.
+``Rep.complete`` and ``check_complete`` and of the hc7 decider, with
+scaling slopes.
 
-Times ``min_elements``, ``max_elements``, ``UpSet.complement_maxima`` and
-``Rep.complete`` on two families at four sizes each:
+Times ``min_elements``, ``max_elements``, ``UpSet.complement_maxima``,
+``Rep.complete`` and ``check_complete`` on two families at four sizes
+each:
 
 - hyperplanes ``{x in N^d : sum x = s}`` for d = 3 to 8, antichains whose
   complement maxima are the hyperplane at s - 1;
@@ -13,6 +15,15 @@ Times ``min_elements``, ``max_elements``, ``UpSet.complement_maxima`` and
 ``Rep.complete`` runs on a fresh ``Rep`` over ``chain(2)`` that values each
 point of the antichain 0.  Its output is the antichain at 0, the complement
 maxima at 1 and the zero vector, the one generator of the top level, at 1.
+The rep has no point at the zero vector, so F(0) is top, 1; the
+generators take their levels' values and every complement maximum,
+lying outside the 0-sublevel, takes F(0), so nothing is evaluated.
+
+``check_complete`` runs on one such rep and ``complete()``'s own output,
+which it accepts.  The first, checking call of ``complete()`` builds the
+rep's sublevels, complement maxima and the values the levels prove, which
+the rep keeps, so the samples time the check itself.  Its points in are
+the output's points.
 
 hc7 (join distributivity, ``commrep.hc``) runs on the meet sequence
 ``e_j -> j`` of two families of distributive lattices, where it holds, so
@@ -53,7 +64,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from commrep import INF, Rep, UpSet, chain, divisor_lattice, unit  # noqa: E402
+from commrep import INF, Rep, UpSet, chain, check_complete, divisor_lattice, unit  # noqa: E402
 from commrep.hc import _hc7_witness  # noqa: E402
 from commrep.upset import max_elements, min_elements  # noqa: E402
 
@@ -103,6 +114,13 @@ def complete_case(d: int, gens, maxima):
     return call, tuple(sorted(expected))
 
 
+def check_complete_case(d: int, gens):
+    """``check_complete`` on a rep valuing gens 0 and its complete() output."""
+    rep = Rep._from_checked(CHAIN_2, d, tuple((g, 0) for g in gens))
+    ext = rep.complete()
+    return lambda: check_complete(rep, ext), len(ext.points)
+
+
 def hc7_case(lattice):
     """hc7 on the meet sequence e_j -> j of a distributive lattice."""
     m = lattice.m
@@ -123,6 +141,8 @@ def cases(sizes: int):
             yield "complement_maxima", family, f"s={s}", up.complement_maxima, len(pts), below
             call, points = complete_case(d, pts, below)
             yield "complete", family, f"s={s}", call, len(pts), points
+            call, n = check_complete_case(d, pts)
+            yield "check_complete", family, f"s={s}", call, n, True
     for k in MATCHING_PAIRS[:sizes]:
         family = "matching"
         maxima = matching_maxima(k)
@@ -132,6 +152,8 @@ def cases(sizes: int):
         yield "max_elements", family, f"k={k}", lambda p=pts: max_elements(p), len(pts), maxima
         call, points = complete_case(2 * k, matching(k).gens, maxima)
         yield "complete", family, f"k={k}", call, k, points
+        call, n = check_complete_case(2 * k, matching(k).gens)
+        yield "check_complete", family, f"k={k}", call, n, True
     for m in CHAIN_SIZES[:sizes]:
         yield "hc7", "chain", f"m={m}", hc7_case(chain(m)), m, None
     for n in DIVISOR_LATTICES[:sizes]:
@@ -178,7 +200,7 @@ def run(sizes: int) -> dict:
         out = call()
         if out != expected:
             raise AssertionError(f"{layer} on {family} {size}: wrong output")
-        n_out = 0 if out is None else len(out)
+        n_out = 0 if out is None or out is True else len(out)
         seconds, calls, samples = best_time(call)
         rows.append({
             "layer": layer,

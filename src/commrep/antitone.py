@@ -100,8 +100,9 @@ class Rep(_PointSet):
     lie below the query; the index is built on the first evaluation that
     misses the memo of values.  The meet profile, the sublevels, the
     complement maxima of each distinct upset, the canonical
-    representation and the hc1, hc2, hc7 and hc8 witnesses of
-    :mod:`commrep.hc` are computed once and kept.
+    representation, the values the levels prove (see :meth:`complete`)
+    and the hc1, hc2, hc7 and hc8 witnesses of :mod:`commrep.hc` are
+    computed once and kept.
     """
 
     def __init__(self, lattice: Lattice, dim: int, points: Iterable = ()):
@@ -122,6 +123,7 @@ class Rep(_PointSet):
         self._maxima: dict[UpSet, set[Vec]] = {}
         self._profile: dict[int, tuple[Vec, ...]] | None = None
         self._canonical: Rep | None = None
+        self._proof: dict[Vec, int] | None = None
         self._witnesses: dict[str, dict | None] = {}
 
     # -- evaluation ---------------------------------------------------------
@@ -145,6 +147,12 @@ class Rep(_PointSet):
             v = self.lattice.big_meet(self._below().values(x))
             self._values[x] = v
             return v
+
+    def _at_zero(self) -> int:
+        # F(0), which bounds every value: the point at the zero vector,
+        # sorted first when the rep has one, else the empty meet, top.
+        pts = self.points
+        return pts[0][1] if pts and not any(pts[0][0]) else self.lattice.top
 
     def _below(self) -> _Below:
         if self._index is None:
@@ -199,17 +207,21 @@ class Rep(_PointSet):
         profile's antichains at values at or below alpha.  When at most one
         antichain lies there it is the sublevel's generator set as it is
         (none gives the empty set); only a union of several is minimised.
+        Every value lies at or below F(0), the value at the zero vector,
+        so when F(0) <= alpha the sublevel is all of N^dim, generated by
+        the zero vector alone, and no antichain is read.
         """
-        alpha = self.lattice.resolve(alpha)
+        lat = self.lattice
+        alpha = lat.resolve(alpha)
         if alpha not in self._levels:
-            self._levels[alpha] = UpSet._from_antichains(
-                self.dim,
-                [
-                    anti
-                    for mval, anti in self._meet_profile().items()
-                    if self.lattice.leq(mval, alpha)
-                ],
-            )
+            if lat.leq(self._at_zero(), alpha):
+                level = UpSet._from_antichain(self.dim, (zero(self.dim),))
+            else:
+                level = UpSet._from_antichains(
+                    self.dim,
+                    [anti for mval, anti in self._meet_profile().items() if lat.leq(mval, alpha)],
+                )
+            self._levels[alpha] = level
         return self._levels[alpha]
 
     def _maxima_outside(self, level: UpSet) -> set[Vec]:
@@ -234,23 +246,56 @@ class Rep(_PointSet):
             )
         return self._canonical
 
+    def _proven(self) -> dict[Vec, int]:
+        # The values of the critical points that the levels prove, with no
+        # evaluation: each sublevel generator's canonical value, and F(0)
+        # at the complement maxima that antitony decides.  F(p) <= F(0)
+        # always, and F(p) < F(0) only when p lies in the sublevel of some
+        # lower cover c of F(0).  A maximum outside the a-sublevel lies
+        # outside the c-sublevel for every c <= a, so p takes F(0) when
+        # each lower cover lies below some a whose complement maxima hold
+        # p; the bits of reached[p] mark the covers seen so far.  Kept for
+        # complete() and check_complete; do not mutate.
+        if self._proof is None:
+            lat = self.lattice
+            levels = [self.sublevel(a) for a in range(lat.m)]
+            f0 = self._at_zero()
+            covers = lat.lower_covers(f0)
+            pts = _level_values(lat, levels)
+            reached: dict[Vec, int] = {}
+            for a, level in enumerate(levels):
+                bits = sum(1 << i for i, c in enumerate(covers) if lat.leq(c, a))
+                if bits:
+                    for p in self._maxima_outside(level):
+                        reached[p] = reached.get(p, 0) | bits
+            full = (1 << len(covers)) - 1
+            for p, bits in reached.items():
+                if bits == full:
+                    pts.setdefault(p, f0)
+            self._proof = pts
+        return self._proof
+
     def complete(self) -> "ExtRep":
         """A finite subset of the extended graph pinning the function uniquely.
 
         For every lattice element the minimal vectors of its sublevel and
         the maximal vectors outside it are collected; exactly one antitone
         function passes through the resulting evaluated point set, which
-        :func:`check_complete` accepts.  The generators carry their canonical
-        values, as in :meth:`canonical`; only the complement maxima, which
-        the rep keeps per sublevel, are evaluated.  The points are checked
+        :func:`check_complete` accepts.  Most values come from the levels,
+        with no evaluation.  The generators carry their canonical values,
+        as in :meth:`canonical`.  A complement maximum takes F(0), the
+        value at the zero vector and the largest one, when it lies outside
+        the sublevel of every lower cover of F(0), as it does when each
+        such cover lies below an element whose complement maxima hold it.
+        Only the other maxima are evaluated.  The points are checked
         vectors with element indices and one value per vector, so the result
         is built without the coercion of the :class:`ExtRep` constructor.
         """
-        levels = [self.sublevel(a) for a in range(self.lattice.m)]
-        pts = _level_values(self.lattice, levels)
-        for level in levels:
-            for vec in self._maxima_outside(level):
-                pts.setdefault(vec, self._value_at(vec))
+        pts = dict(self._proven())
+        for a in range(self.lattice.m):
+            for vec in self._maxima_outside(self.sublevel(a)):
+                if vec not in pts:
+                    pts[vec] = self._value_at(vec)
         return ExtRep._from_checked(self.lattice, self.dim, sorted(pts.items()))
 
     # -- properties of the represented function ------------------------------
@@ -308,9 +353,9 @@ def check_complete(rep: Rep, ext: ExtRep) -> bool:
 
     The points of ``ext`` are already checked by the :class:`ExtRep`
     constructor, so step (i) reads them without coercing them again.  A
-    point that is a canonical vector is compared with its canonical value,
-    the rule :meth:`Rep.canonical` and :meth:`Rep.complete` use; only the
-    other points are evaluated.
+    point whose value the levels prove, a canonical vector or a complement
+    maximum valued F(0) by the rule :meth:`Rep.complete` uses, is compared
+    with that value; only the other points of ``ext`` are evaluated.
     Once (i) holds, every point of ``ext`` carries F's value, so a critical
     point b that ``ext`` holds settles (ii) at b by itself: below a minimal
     vector b of the alpha-sublevel the meet is at most F(b) <= alpha, and
@@ -323,9 +368,9 @@ def check_complete(rep: Rep, ext: ExtRep) -> bool:
     """
     rep._compatible(ext)
     lat = rep.lattice
-    canon = dict(rep.canonical().points)
+    proven = rep._proven()
     for vec, val in ext.points:
-        if (canon[vec] if vec in canon else rep._value_at(vec)) != val:
+        if (proven[vec] if vec in proven else rep._value_at(vec)) != val:
             return False
     held = dict(ext.points)
     below = above = None

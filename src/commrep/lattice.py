@@ -258,7 +258,12 @@ def chain(m: int, names: Sequence[str] | None = None) -> Lattice:
 
 
 def divisor_lattice(n: int) -> Lattice:
-    """Divisors of n ordered by divisibility, with gcd as meet and lcm as join."""
+    """Divisors of n ordered by divisibility, with gcd as meet and lcm as join.
+
+    Raises ValueError when n < 1, which has no divisors to order.
+    """
+    if n < 1:
+        raise ValueError(f"divisor_lattice needs n >= 1, got {n}")
     divs = [d for d in range(1, n + 1) if n % d == 0]
     pos = {d: i for i, d in enumerate(divs)}
     meet = [[pos[math.gcd(a, b)] for b in divs] for a in divs]

@@ -238,14 +238,16 @@ def test_complete_values_generators_by_their_levels_and_evaluates_only_maxima(
     monkeypatch,
 ):
     # complete() values each sublevel generator by the meet of the levels it
-    # generates, as canonical() does, and evaluates each complement maximum,
-    # so _value_at sees exactly the maxima.  The points match every critical
-    # point valued on its own: by the box scan of brute_eval_ext, or for the
-    # reps offset by 2^60, whose box would be 2^60 wide, by the point scan.
+    # generates, as canonical() does, and gives a complement maximum p the
+    # value F(0) when each lower cover of F(0) lies below some a whose
+    # complement maxima hold p; _value_at sees exactly the other maxima.
+    # The points match every critical point valued on its own: by the box
+    # scan of brute_eval_ext, or for the reps offset by 2^60, whose box
+    # would be 2^60 wide, by the point scan.
     rng = random.Random(29)
     lattices = lattice_catalog()
     calls = count_calls(monkeypatch, Rep, "_value_at")
-    unevaluated = 0
+    unevaluated = decided = 0
     for i in range(450):
         lat = lattices[i % len(lattices)]
         d = rng.randrange(1, 4)
@@ -255,12 +257,72 @@ def test_complete_values_generators_by_their_levels_and_evaluates_only_maxima(
         calls.clear()
         comp = rep.complete()
         levels = [rep.sublevel(a) for a in range(lat.m)]
-        maxima = set().union(*(level.complement_maxima() for level in levels))
-        assert {vec for _, vec in calls} == maxima
-        unevaluated += len({g for level in levels for g in level.gens} - maxima)
+        outside = [level.complement_maxima() for level in levels]
+        maxima = set().union(*outside)
+        gens = {g for level in levels for g in level.gens}
+        f0 = brute_eval(rep, (0,) * d)
+        at_f0 = {
+            p for p in maxima
+            if all(any(lat.leq(c, a) and p in outside[a] for a in range(lat.m))
+                   for c in lat.lower_covers(f0))
+        }
+        assert {vec for _, vec in calls} == maxima - at_f0 - gens
+        unevaluated += len(gens - maxima)
+        decided += len(at_f0 - gens)
         expected = brute_complete(rep, brute_eval if i % 3 == 0 else brute_eval_ext)
         assert comp.points == expected
-    assert unevaluated >= 900, unevaluated
+    assert unevaluated >= 900 and decided >= 450, (unevaluated, decided)
+
+
+def test_levels_above_f0_are_everything_and_maxima_take_f0_below_top():
+    # Reps with a point at the zero vector, so F(0) < top: every sublevel
+    # is the minimised union of the profile antichains at or below it, and
+    # the zero vector alone from F(0) up; complete() matches the critical
+    # points valued on their own; check_complete rejects its output with
+    # any one value changed, the maxima valued F(0) with no evaluation
+    # among them.  Every third rep has its nonzero points offset by 2^60.
+    rng = random.Random(37)
+    lattices = [lat for lat in lattice_catalog() if lat.m >= 2]
+    decided = 0
+    for i in range(300):
+        lat = lattices[i % len(lattices)]
+        d = rng.randrange(1, 4)
+        f0 = rng.choice([e for e in range(lat.m) if e != lat.top])
+        pts = random_rep(rng, lat, d, max_coord=4, max_points=6).points
+        off = 2**60 if i % 3 == 0 else 0
+        rep = Rep(lat, d, [((0,) * d, f0)] + [
+            (tuple(c + off for c in v), e) for v, e in pts if any(v)
+        ])
+        assert brute_eval(rep, (0,) * d) == f0
+        for a in range(lat.m):
+            union = [v for mval, anti in rep._meet_profile().items()
+                     if lat.leq(mval, a) for v in anti]
+            assert rep.sublevel(a) == UpSet.from_points(d, union)
+            if lat.leq(f0, a):
+                assert rep.sublevel(a).gens == ((0,) * d,)
+        comp = rep.complete()
+        assert comp.points == brute_complete(rep, brute_eval if off else brute_eval_ext)
+        assert check_complete(rep, comp)
+        gens = {g for a in range(lat.m) for g in rep.sublevel(a).gens}
+        decided += sum(
+            v not in gens and v not in rep._values for v, _ in comp.points
+        )
+        for k, (vec, val) in enumerate(comp.points):
+            wrong = rng.choice([e for e in range(lat.m) if e != val])
+            changed = comp.points[:k] + ((vec, wrong),) + comp.points[k + 1 :]
+            assert not check_complete(rep, ExtRep(lat, d, changed))
+    assert decided >= 250, decided
+
+
+def test_complete_and_check_complete_evaluate_nothing_on_a_hyperplane():
+    # {x in N^3 : sum x = 6} -> 0 over chain(2): the generators take their
+    # levels' values and every complement maximum takes F(0) = 1, so no
+    # evaluation builds the rep's dominance index
+    rep = Rep(chain(2), 3, [(x, 0) for x in hyperplane(3, 6)])
+    comp = rep.complete()
+    assert check_complete(rep, comp)
+    assert rep._index is None
+    assert len(comp.points) == 28 + 21 + 1
 
 
 def test_known_ten_point_set_accepted(rep_g, known_g2):
@@ -333,8 +395,9 @@ def test_equal_sublevels_share_their_complement_maxima(monkeypatch):
 def test_check_complete_builds_no_index_when_ext_holds_every_critical_point(
     monkeypatch, name
 ):
-    # complete() builds rep's own index when it evaluates the complement
-    # maxima, so every index built from here on would be one over ext
+    # complete() keeps the value of each complement maximum it evaluates,
+    # building rep's own index if it needs one, so every index built from
+    # here on would be one over ext
     _, rep = example(name)
     comp = rep.complete()
     calls = count_calls(monkeypatch, antitone, "_Below")

@@ -21,7 +21,7 @@ def test_layer_bench_runs_its_smallest_sizes(tmp_path, monkeypatch):
     layers.main(["--out", str(out), "--sizes", "2"])
     record = json.loads(out.read_text())
     families = [f"hyperplane d={d}" for d in range(3, 9)] + ["matching"]
-    ops = ("min_elements", "max_elements", "complement_maxima", "complete")
+    ops = ("min_elements", "max_elements", "complement_maxima", "complete", "check_complete")
     pairs = {(r["layer"], r["family"]) for r in record["cases"]}
     hc7 = {("hc7", "chain"), ("hc7", "divisors")}
     assert pairs == {(op, f) for op in ops for f in families} | hc7

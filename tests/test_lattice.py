@@ -152,6 +152,14 @@ def test_empty_lattice_rejected():
         Lattice([], [], [])
 
 
+@pytest.mark.parametrize("n", [0, -1, -12])
+def test_divisor_lattice_needs_a_positive_n(n):
+    with pytest.raises(ValueError, match=rf"^divisor_lattice needs n >= 1, got {n}$") as err:
+        divisor_lattice(n)
+    assert not isinstance(err.value, LatticeError)
+    assert divisor_lattice(1).names == ("1",)
+
+
 def test_equal_lattices_hash_alike_and_repr():
     assert hash(chain(3)) == hash(Lattice.from_leq(chain(3).names, chain(3).leq_matrix))
     assert hash(divisor_lattice(12)) == hash(divisor_lattice(12))
