@@ -12,6 +12,12 @@ each:
   2^k complement maxima put 0 on one coordinate of each pair and INF on
   the other; ``min_elements`` and ``max_elements`` run on those maxima.
 
+``complement_maxima`` also runs on antichains of n = 1,000 to 8,000
+generators in d = 3 with distinct coordinates near 2^62 (x rising, y
+falling, z drawn at random), whose maxima number 2n + 1, which is what
+is checked.  ``distinct x first`` sorts them by x, so that coordinate 0
+rises with the points, ``distinct x last`` by z, with x moved last.
+
 ``Rep.complete`` runs on a fresh ``Rep`` over ``chain(2)`` that values each
 point of the antichain 0.  Its output is the antichain at 0, the complement
 maxima at 1 and the zero vector, the one generator of the top level, at 1.
@@ -56,6 +62,7 @@ import json
 import math
 import os
 import platform
+import random
 import resource
 import sys
 import time
@@ -81,6 +88,7 @@ HYPERPLANE_SUMS = {
 MATCHING_PAIRS = (8, 9, 10, 11)
 CHAIN_SIZES = (8, 16, 32, 64)
 DIVISOR_LATTICES = (6, 30, 60, 210)
+DISTINCT_SIZES = (1000, 2000, 4000, 8000)
 CHAIN_2 = chain(2)
 
 # A sample repeats the call until it has run this long, in seconds.
@@ -101,6 +109,22 @@ def matching(k: int) -> UpSet:
 
 def matching_maxima(k: int) -> set:
     return {sum(c, ()) for c in product([(0, INF), (INF, 0)], repeat=k)}
+
+
+class Size(int):
+    """An expected output known only by its number of points."""
+
+
+def distinct(n: int, x_first: bool) -> UpSet:
+    """n generators (x, y, z) near 2^62, x rising and y falling, z drawn
+    from a seeded generator; (z, y, x) unless x_first."""
+    rng = random.Random(14)
+    base = 2**62
+    xs = sorted(rng.sample(range(2**40), n))
+    ys = sorted(rng.sample(range(2**40), n), reverse=True)
+    zs = rng.sample(range(2**40), n)
+    pts = [(base + x, base + y, base + z) for x, y, z in zip(xs, ys, zs)]
+    return UpSet._from_antichain(3, tuple(sorted(p if x_first else p[::-1] for p in pts)))
 
 
 def complete_case(d: int, gens, maxima):
@@ -154,6 +178,10 @@ def cases(sizes: int):
         yield "complete", family, f"k={k}", call, k, points
         call, n = check_complete_case(2 * k, matching(k).gens)
         yield "check_complete", family, f"k={k}", call, n, True
+    for family, x_first in (("distinct x first", True), ("distinct x last", False)):
+        for n in DISTINCT_SIZES[:sizes]:
+            up = distinct(n, x_first)
+            yield "complement_maxima", family, f"n={n}", up.complement_maxima, n, Size(2 * n + 1)
     for m in CHAIN_SIZES[:sizes]:
         yield "hc7", "chain", f"m={m}", hc7_case(chain(m)), m, None
     for n in DIVISOR_LATTICES[:sizes]:
@@ -198,7 +226,7 @@ def run(sizes: int) -> dict:
     rows = []
     for layer, family, size, call, n_in, expected in cases(sizes):
         out = call()
-        if out != expected:
+        if (len(out) if isinstance(expected, Size) else out) != expected:
             raise AssertionError(f"{layer} on {family} {size}: wrong output")
         n_out = 0 if out is None or out is True else len(out)
         seconds, calls, samples = best_time(call)

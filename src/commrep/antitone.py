@@ -123,6 +123,7 @@ class Rep(_PointSet):
         self._maxima: dict[UpSet, set[Vec]] = {}
         self._profile: dict[int, tuple[Vec, ...]] | None = None
         self._canonical: Rep | None = None
+        self._canon_values: dict[Vec, int] | None = None
         self._proof: dict[Vec, int] | None = None
         self._witnesses: dict[str, dict | None] = {}
 
@@ -246,6 +247,13 @@ class Rep(_PointSet):
             )
         return self._canonical
 
+    def _canonical_values(self) -> dict[Vec, int]:
+        # Each sublevel generator's canonical value, read off canonical()
+        # once and kept for check_complete; do not mutate.
+        if self._canon_values is None:
+            self._canon_values = dict(self.canonical().points)
+        return self._canon_values
+
     def _proven(self) -> dict[Vec, int]:
         # The values of the critical points that the levels prove, with no
         # evaluation: each sublevel generator's canonical value, and F(0)
@@ -352,10 +360,13 @@ def check_complete(rep: Rep, ext: ExtRep) -> bool:
     does not drop below alpha.
 
     The points of ``ext`` are already checked by the :class:`ExtRep`
-    constructor, so step (i) reads them without coercing them again.  A
-    point whose value the levels prove, a canonical vector or a complement
-    maximum valued F(0) by the rule :meth:`Rep.complete` uses, is compared
-    with that value; only the other points of ``ext`` are evaluated.
+    constructor, so step (i) reads them without coercing them again.  It
+    first compares the canonical vectors of ``ext`` with the values
+    :meth:`Rep.canonical` gives them, which need the sublevels but none of
+    their complement maxima, so a wrong value there is rejected before
+    any maximum is computed.  Of the other points, a complement maximum
+    valued F(0) by the rule :meth:`Rep.complete` uses is compared with
+    F(0), and only the rest are evaluated.
     Once (i) holds, every point of ``ext`` carries F's value, so a critical
     point b that ``ext`` holds settles (ii) at b by itself: below a minimal
     vector b of the alpha-sublevel the meet is at most F(b) <= alpha, and
@@ -368,9 +379,18 @@ def check_complete(rep: Rep, ext: ExtRep) -> bool:
     """
     rep._compatible(ext)
     lat = rep.lattice
+    canon = rep._canonical_values()
+    rest = []
+    for point in ext.points:
+        want = canon.get(point[0])
+        if want is None:
+            rest.append(point)
+        elif want != point[1]:
+            return False
     proven = rep._proven()
-    for vec, val in ext.points:
-        if (proven[vec] if vec in proven else rep._value_at(vec)) != val:
+    for vec, val in rest:
+        want = proven.get(vec)
+        if (rep._value_at(vec) if want is None else want) != val:
             return False
     held = dict(ext.points)
     below = above = None

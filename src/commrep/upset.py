@@ -283,18 +283,41 @@ class UpSet:
 
         Notes
         -----
-        The maxima are built by adding the generators one at a time (one step
-        of Berge's transversal multiplication; Fredman & Khachiyan 1996 bound
-        its output-sensitive cost).  Outside the empty set the only maximum is
-        the all-INF point.  Adding a generator g removes exactly the maxima p
-        with g <= p; each is replaced by the points ``q = p[i := g_i - 1]`` for
-        the coordinates with g_i > 0, which lie below p and outside the upward
-        closure of g.  One rule decides each q: it is kept unless another live
-        maximum r lies at or above it.  Such an r has r_j >= p_j >= g_j for
-        every j != i, so it is near (r_i = g_i - 1) or above g, and only those
-        are searched.  An r above g lies above q exactly when its own
-        replacement on coordinate i does, which is not q (maxima that differ
-        only at coordinate i would compare).  Replacements made on different
+        A sweep over coordinate 0 (Kung, Luccio & Preparata, J. ACM 1975).
+        Write x = (t, y), with y the tail of x past coordinate 0, and T(t)
+        for the upset of the tails of the generators g with g_0 <= t.  Then
+        x lies outside the upset exactly when y lies outside T(t), and is
+        maximal there exactly when, in addition, y is maximal outside T(t)
+        and raising t enters the upset: t = INF, or T(t + 1) holds y.  T
+        changes only at the values v of g_0, so the maxima are the points
+        (v - 1, y), v >= 1, for the tails y maximal outside T(v - 1) that
+        T(v) holds, and (INF, y) for those maximal outside all the tails.
+
+        The sorted generators come in groups of equal g_0.  The sweep keeps
+        S, the maxima outside the upset of the tails seen so far, from the
+        all-INF tail on, and adds each group's tails to it one at a time.
+        Before group v, S holds the tails maximal outside T(v - 1); such a
+        tail stays maximal outside T(v) unless T(v) holds it, so the tails
+        of S that group v removes are the ones to emit as (v - 1, y).  Each
+        live tail carries the g_0 of the group that made it (0 for the
+        all-INF one), so a tail made and removed inside one group is not
+        emitted, nor is any at v = 0.  The tails left at the end are
+        emitted as (INF, y).  Only a tail of zeros empties S, and its
+        generator comes last, as every later one would lie above it.  The
+        emitted maxima leave S, so the masks below hold the maxima outside
+        a (d - 1)-dimensional upset, not the output.
+
+        Adding a tail g is one step of Berge's transversal multiplication
+        (Fredman & Khachiyan 1996 bound its output-sensitive cost).  It
+        removes exactly the maxima p with g <= p; each is replaced by the
+        points ``q = p[i := g_i - 1]`` for the coordinates with g_i > 0,
+        which lie below p and outside the upward closure of g.  One rule
+        decides each q: it is kept unless another live maximum r lies at or
+        above it.  Such an r has r_j >= p_j >= g_j for every j != i, so it
+        is near (r_i = g_i - 1) or above g, and only those are searched.
+        An r above g lies above q exactly when its own replacement on
+        coordinate i does, which is not q (maxima that differ only at
+        coordinate i would compare).  Replacements made on different
         coordinates never compare (each is at or above g on the other's
         coordinate).
 
@@ -304,32 +327,35 @@ class UpSet:
         maxima.  The maxima at or above c on coordinate i are the OR of the
         masks from ``bisect_left(values, c)`` on; the maxima above g are the
         AND of those sets over the coordinates with g_i > 0, and the near ones
-        the mask at g_i - 1.  q is dropped when the near and above masks
-        without p's bit, ANDed with the maxima at or above q_j on each other
-        coordinate j, leave a bit.  Every question about one generator is asked
-        before its maxima change.  Then the removed maxima leave every mask and
-        free their bits for the replacements, so the masks and the sorted
-        values grow with the live antichain only.  Coordinates are only
-        compared, so the result is exact for coordinates of any size.
+        the mask at g_i - 1.  q is kept at once when no maximum but p is near
+        or above g, and else dropped when those masks without p's bit, ANDed
+        with the maxima at or above q_j on each other coordinate j, leave a
+        bit.  Every question about one tail is asked before its maxima change.
+        Then the removed maxima leave every mask and free their bits for the
+        replacements, so the masks and the sorted values grow with the live
+        antichain only.  Coordinates are only compared, so the result is
+        exact for coordinates of any size.
 
         Kept apart from :class:`_Below`, whose cumulative masks give a
         fixed set O(log) queries: the changing antichain wants per-value
         masks with O(1) updates.  Each shared kernel tried was slower.
         """
-        d = self.dim
-        pts: dict[int, Vec] = {0: (INF,) * d}  # the live maxima by bit
+        d = self.dim - 1
+        # the live tails by bit, each with the g_0 of the group that made it
+        pts: dict[int, tuple[Vec, object]] = {0: ((INF,) * d, 0)}
         live = 1
-        # per coordinate: the sorted values of the live maxima there and,
-        # in step, the mask of the maxima with each value
+        out: set[Vec] = set()
+        # per coordinate of the tails: the sorted values of the live tails
+        # there and, in step, the mask of the tails with each value
         values: list[list] = [[INF] for _ in range(d)]
         masks: list[list[int]] = [[1] for _ in range(d)]
         ge: dict[tuple[int, object], int] = {}
 
         def at_least(i: int, c) -> int:
-            # The live maxima whose coordinate i is at or above c: the OR
+            # The live tails whose coordinate i is at or above c: the OR
             # of the masks from c on, or live without the OR of the masks
             # below c, whichever side is shorter.  Replacements of one
-            # maximum on different coordinates ask the same questions, so
+            # tail on different coordinates ask the same questions, so
             # the answers are kept in ge while the masks stay the same.
             key = (i, c)
             if key not in ge:
@@ -342,12 +368,13 @@ class UpSet:
             return ge[key]
 
         for g in self.gens:
+            v, g = g[0], g[1:]
             ge.clear()
             above = live
             for i, c in enumerate(g):
                 if c:
                     above &= at_least(i, c)
-            old = [(b, pts.pop(b)) for b in _bits(above)]
+            old = [(b, *pts.pop(b)) for b in _bits(above)]
             new: list[Vec] = []
             for i, c in enumerate(g):
                 if c == 0:
@@ -355,13 +382,16 @@ class UpSet:
                 # near or above g; one above g has coordinate i >= c, so k is in range
                 k = bisect_left(values[i], c - 1)
                 start = above | (masks[i][k] if values[i][k] == c - 1 else 0)
-                for b, p in old:
+                for b, p, _ in old:
                     q = p[:i] + (c - 1,) + p[i + 1 :]
-                    if not _dominated(q, i, start ^ (1 << b), at_least):  # not p
+                    # kept at once when no maximum but p is near or above g
+                    if start == 1 << b or not _dominated(q, i, start ^ (1 << b), at_least):
                         new.append(q)
             live &= ~above
-            for b, p in old:
+            for b, p, made in old:
                 bit = 1 << b
+                if made != v:
+                    out.add((v - 1,) + p)
                 for x, vals, by in zip(p, values, masks):
                     k = bisect_left(vals, x)
                     by[k] &= ~bit
@@ -369,7 +399,7 @@ class UpSet:
                         del vals[k], by[k]
             for q in new:
                 bit = ~live & (live + 1)  # the lowest free bit
-                pts[bit.bit_length() - 1] = q
+                pts[bit.bit_length() - 1] = q, v
                 live |= bit
                 for x, vals, by in zip(q, values, masks):
                     k = bisect_left(vals, x)
@@ -378,7 +408,9 @@ class UpSet:
                     else:
                         vals.insert(k, x)
                         by.insert(k, bit)
-        return set(pts.values())
+        for p, _ in pts.values():
+            out.add((INF,) + p)
+        return out
 
     def _compatible(self, other: "UpSet") -> None:
         if self.dim != other.dim:
