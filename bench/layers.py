@@ -1,6 +1,6 @@
 """Per-layer timings of commrep's antichain primitives, of
-``Rep.complete`` and ``check_complete`` and of the hc7 decider, with
-scaling slopes.
+``Rep.complete`` and ``check_complete``, of the hc7 decider and of
+``learn``, with scaling slopes.
 
 Times ``min_elements``, ``max_elements``, ``UpSet.complement_maxima``,
 ``Rep.complete`` and ``check_complete`` on two families at four sizes
@@ -44,6 +44,15 @@ The first, checking call builds the rep's sublevels and decides its hc2,
 which the rep keeps, so the samples time hc7's own pair scan and shifts.
 Its points in are the lattice's m elements.
 
+``learn`` recovers the hyperplane target ``{x : sum x = s} -> 0`` over
+``chain(2)`` through ``oracle_from_rep``, for d = 2 with s = 20 to 160
+and d = 3 with s = 6 to 20.  Each round adds one canonical point of the
+target, so it takes one round per point and one more that finds no
+mismatch; the learned points must be the target's.  Its points in are
+those rounds, so the slope is in rounds.  The first, checking call fills
+the target's memo of values, so the samples time ``learn``'s own rounds
+with the oracle answering from that memo.
+
 Every output is checked against its closed form.  Each case reports the
 best time per call over three samples and every sample's time per call,
 and each family the least-squares slope of log time against log points
@@ -71,7 +80,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from commrep import INF, Rep, UpSet, chain, check_complete, divisor_lattice, unit  # noqa: E402
+from commrep import (  # noqa: E402
+    INF, Rep, UpSet, chain, check_complete, divisor_lattice, learn, oracle_from_rep, unit,
+)
 from commrep.hc import _hc7_witness  # noqa: E402
 from commrep.upset import max_elements, min_elements  # noqa: E402
 
@@ -89,6 +100,7 @@ MATCHING_PAIRS = (8, 9, 10, 11)
 CHAIN_SIZES = (8, 16, 32, 64)
 DIVISOR_LATTICES = (6, 30, 60, 210)
 DISTINCT_SIZES = (1000, 2000, 4000, 8000)
+LEARN_SUMS = {2: (20, 40, 80, 160), 3: (6, 10, 14, 20)}
 CHAIN_2 = chain(2)
 
 # A sample repeats the call until it has run this long, in seconds.
@@ -152,6 +164,17 @@ def hc7_case(lattice):
     return lambda: _hc7_witness(rep)
 
 
+def learn_case(d: int, s: int):
+    """``learn`` on the target valuing hyperplane(d, s) 0, and its rounds."""
+    target = Rep._from_checked(CHAIN_2, d, tuple((x, 0) for x in hyperplane(d, s)))
+    oracle = oracle_from_rep(target)
+    history = []
+    learn(oracle, history=history)
+    if len(history) != len(target.points):
+        raise AssertionError(f"learn on hyperplane({d}, {s}): {len(history) + 1} rounds")
+    return lambda: learn(oracle).points == target.points, len(history) + 1
+
+
 def cases(sizes: int):
     """(layer, family, size label, call, points in, expected output)."""
     for d, sums in HYPERPLANE_SUMS.items():
@@ -187,6 +210,10 @@ def cases(sizes: int):
     for n in DIVISOR_LATTICES[:sizes]:
         lattice = divisor_lattice(n)
         yield "hc7", "divisors", f"n={n}", hc7_case(lattice), lattice.m, None
+    for d, sums in LEARN_SUMS.items():
+        for s in sums[:sizes]:
+            call, rounds = learn_case(d, s)
+            yield "learn", f"hyperplane d={d}", f"s={s}", call, rounds, True
 
 
 def best_time(call) -> tuple[float, int, list[float]]:

@@ -99,10 +99,11 @@ class Rep(_PointSet):
     Evaluation asks a bitmap dominance index over the points which of them
     lie below the query; the index is built on the first evaluation that
     misses the memo of values.  The meet profile, the sublevels, the
-    complement maxima of each distinct upset, the canonical
-    representation, the values the levels prove (see :meth:`complete`)
-    and the hc1, hc2, hc7 and hc8 witnesses of :mod:`commrep.hc` are
-    computed once and kept.
+    complement maxima of each distinct upset, the list of each element's
+    sublevel and the maxima outside it that :meth:`complete` and
+    :func:`check_complete` read, the canonical representation, the values
+    the levels prove (see :meth:`complete`) and the hc1, hc2, hc7 and hc8
+    witnesses of :mod:`commrep.hc` are computed once and kept.
     """
 
     def __init__(self, lattice: Lattice, dim: int, points: Iterable = ()):
@@ -121,6 +122,7 @@ class Rep(_PointSet):
         self._index: _Below | None = None
         self._levels: dict[int, UpSet] = {}
         self._maxima: dict[UpSet, set[Vec]] = {}
+        self._critical: list[tuple[UpSet, Iterable[Vec]]] | None = None
         self._profile: dict[int, tuple[Vec, ...]] | None = None
         self._canonical: Rep | None = None
         self._canon_values: dict[Vec, int] | None = None
@@ -227,10 +229,25 @@ class Rep(_PointSet):
 
     def _maxima_outside(self, level: UpSet) -> set[Vec]:
         # The maximal vectors outside an upset, computed once per distinct
-        # upset for complete(), check_complete and hc8; do not mutate.
+        # upset for _critical_points() and hc8; do not mutate.
         if level not in self._maxima:
             self._maxima[level] = level.complement_maxima()
         return self._maxima[level]
+
+    def _critical_points(self) -> list[tuple[UpSet, Iterable[Vec]]]:
+        # For each element a, the a-sublevel and the maximal vectors outside
+        # it, built once for _proven(), complete() and check_complete; do
+        # not mutate.  A level at or above F(0) is all of N^dim, as
+        # sublevel() has it, so nothing lies outside it.
+        if self._critical is None:
+            lat = self.lattice
+            f0 = self._at_zero()
+            levels = [self.sublevel(a) for a in range(lat.m)]
+            self._critical = [
+                (level, () if lat.leq(f0, a) else self._maxima_outside(level))
+                for a, level in enumerate(levels)
+            ]
+        return self._critical
 
     def canonical(self) -> "Rep":
         """The canonical representation: minimal vectors of each value class.
@@ -266,15 +283,15 @@ class Rep(_PointSet):
         # complete() and check_complete; do not mutate.
         if self._proof is None:
             lat = self.lattice
-            levels = [self.sublevel(a) for a in range(lat.m)]
+            critical = self._critical_points()
             f0 = self._at_zero()
             covers = lat.lower_covers(f0)
-            pts = _level_values(lat, levels)
+            pts = _level_values(lat, [level for level, _ in critical])
             reached: dict[Vec, int] = {}
-            for a, level in enumerate(levels):
+            for a, (_, maxima) in enumerate(critical):
                 bits = sum(1 << i for i, c in enumerate(covers) if lat.leq(c, a))
                 if bits:
-                    for p in self._maxima_outside(level):
+                    for p in maxima:
                         reached[p] = reached.get(p, 0) | bits
             full = (1 << len(covers)) - 1
             for p, bits in reached.items():
@@ -287,7 +304,8 @@ class Rep(_PointSet):
         """A finite subset of the extended graph pinning the function uniquely.
 
         For every lattice element the minimal vectors of its sublevel and
-        the maximal vectors outside it are collected; exactly one antitone
+        the maximal vectors outside it are collected, none outside a level
+        at or above F(0), which is all of N^dim; exactly one antitone
         function passes through the resulting evaluated point set, which
         :func:`check_complete` accepts.  Most values come from the levels,
         with no evaluation.  The generators carry their canonical values,
@@ -300,8 +318,8 @@ class Rep(_PointSet):
         is built without the coercion of the :class:`ExtRep` constructor.
         """
         pts = dict(self._proven())
-        for a in range(self.lattice.m):
-            for vec in self._maxima_outside(self.sublevel(a)):
+        for _, maxima in self._critical_points():
+            for vec in maxima:
                 if vec not in pts:
                     pts[vec] = self._value_at(vec)
         return ExtRep._from_checked(self.lattice, self.dim, sorted(pts.items()))
@@ -394,14 +412,13 @@ def check_complete(rep: Rep, ext: ExtRep) -> bool:
             return False
     held = dict(ext.points)
     below = above = None
-    for a in range(lat.m):
-        level = rep.sublevel(a)
+    for a, (level, maxima) in enumerate(rep._critical_points()):
         for b in level.gens:
             if b not in held:
                 below = below or _Below(ext.points)
                 if not lat.leq(lat.big_meet(below.values(b)), a):
                     return False
-        for b in rep._maxima_outside(level):
+        for b in maxima:
             if b not in held:
                 above = above or _Below([(_neg(v), e) for v, e in ext.points])
                 if lat.leq(lat.big_join(above.values(_neg(b))), a):

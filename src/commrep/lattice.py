@@ -214,6 +214,8 @@ class Lattice:
         """Accept an element given as an index or as a name."""
         if isinstance(elem, str):
             return self.index(elem)
+        if type(elem) is int and 0 <= elem < self.m:
+            return elem
         if isinstance(elem, Integral) and not isinstance(elem, bool):
             i = int(elem)
             if 0 <= i < self.m:

@@ -274,16 +274,18 @@ def test_complete_values_generators_by_their_levels_and_evaluates_only_maxima(
     assert unevaluated >= 900 and decided >= 450, (unevaluated, decided)
 
 
-def test_levels_above_f0_are_everything_and_maxima_take_f0_below_top():
+def test_levels_above_f0_are_everything_and_maxima_take_f0_below_top(monkeypatch):
     # Reps with a point at the zero vector, so F(0) < top: every sublevel
     # is the minimised union of the profile antichains at or below it, and
     # the zero vector alone from F(0) up; complete() matches the critical
     # points valued on their own; check_complete rejects its output with
     # any one value changed, the maxima valued F(0) with no evaluation
-    # among them.  Every third rep has its nonzero points offset by 2^60.
+    # among them.  Neither computes the maxima outside a level that is all
+    # of N^d.  Every third rep has its nonzero points offset by 2^60.
     rng = random.Random(37)
     lattices = [lat for lat in lattice_catalog() if lat.m >= 2]
-    decided = 0
+    calls = count_calls(monkeypatch, UpSet, "complement_maxima")
+    decided = computed = 0
     for i in range(300):
         lat = lattices[i % len(lattices)]
         d = rng.randrange(1, 4)
@@ -300,6 +302,7 @@ def test_levels_above_f0_are_everything_and_maxima_take_f0_below_top():
             assert rep.sublevel(a) == UpSet.from_points(d, union)
             if lat.leq(f0, a):
                 assert rep.sublevel(a).gens == ((0,) * d,)
+        calls.clear()
         comp = rep.complete()
         assert comp.points == brute_complete(rep, brute_eval if off else brute_eval_ext)
         assert check_complete(rep, comp)
@@ -311,7 +314,10 @@ def test_levels_above_f0_are_everything_and_maxima_take_f0_below_top():
             wrong = rng.choice([e for e in range(lat.m) if e != val])
             changed = comp.points[:k] + ((vec, wrong),) + comp.points[k + 1 :]
             assert not check_complete(rep, ExtRep(lat, d, changed))
+        assert all(up.gens != ((0,) * d,) for up, in calls), calls
+        computed += len(calls)
     assert decided >= 250, decided
+    assert computed >= 200, computed
 
 
 def test_complete_and_check_complete_evaluate_nothing_on_a_hyperplane():
@@ -386,6 +392,7 @@ def test_complement_maxima_are_computed_once_per_distinct_upset(monkeypatch, nam
     # complete(), check_complete and hc8 share one cache keyed by the upset:
     # the sublevels of 0, alpha and 1, and hc8's union of the lower-cover
     # sublevels of each element, which is empty for 0 and a sublevel else.
+    # The 1-sublevel is all of N^3, outside which nothing is computed.
     lat, rep = example(name)
     calls = count_calls(monkeypatch, UpSet, "complement_maxima")
     admissibility_report(rep)
@@ -398,16 +405,22 @@ def test_complement_maxima_are_computed_once_per_distinct_upset(monkeypatch, nam
         )
         for j in range(lat.m)
     }
-    assert len(calls) == len(set(calls)) == len(sublevels | unions) == 4
+    upsets = (sublevels | unions) - {UpSet.from_points(rep.dim, [(0,) * rep.dim])}
+    assert set(calls) == {(u,) for u in upsets}
+    assert len(calls) == len(upsets) == 3
 
 
 def test_equal_sublevels_share_their_complement_maxima(monkeypatch):
-    # div52 takes no value below 1 or 13, so both sublevels are empty
+    # div52 takes no value below 1 or 13, so both sublevels are empty; the
+    # top level is all of N^2, outside which nothing is computed
     _, rep = example("div52")
     calls = count_calls(monkeypatch, UpSet, "complement_maxima")
     rep.complete()
     assert rep.sublevel("1") == rep.sublevel("13")
-    assert len(calls) == len({rep.sublevel(a) for a in range(rep.lattice.m)}) == 5
+    levels = {rep.sublevel(a) for a in range(rep.lattice.m)}
+    levels.discard(UpSet.from_points(rep.dim, [(0,) * rep.dim]))
+    assert set(calls) == {(u,) for u in levels}
+    assert len(calls) == len(levels) == 4
 
 
 @pytest.mark.parametrize("name", ["div52", "B", "B7"])

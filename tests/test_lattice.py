@@ -242,6 +242,16 @@ def test_resolve_and_index(div52):
         div52.resolve(17)
     with pytest.raises(ValueError):
         div52.resolve(2.5)
+    # plain ints take a fast path; the rest of the contract is unchanged
+    with pytest.raises(ValueError, match="cannot interpret True as a lattice element"):
+        div52.resolve(True)
+    for i in (-1, div52.m):
+        with pytest.raises(ValueError, match=rf"element index {i} out of range 0\.\.{div52.m - 1}$"):
+            div52.resolve(i)
+    Slot = IntEnum("Slot", [("FOUR", 4), ("SIX", 6)])
+    assert div52.resolve(Slot.FOUR) == 4 and type(div52.resolve(Slot.FOUR)) is int
+    with pytest.raises(ValueError, match=r"element index 6 out of range 0\.\.5$"):
+        div52.resolve(Slot.SIX)
 
 
 def test_single_element_lattice():
