@@ -1,6 +1,6 @@
 """Per-layer timings of commrep's antichain primitives, of
-``Rep.complete`` and ``check_complete``, of the hc7 decider and of
-``learn``, with scaling slopes.
+``Rep.complete`` and ``check_complete``, of the hc7 and hc8 deciders, of
+``reduced_equalities`` and of ``learn``, with scaling slopes.
 
 Times ``min_elements``, ``max_elements``, ``UpSet.complement_maxima``,
 ``Rep.complete`` and ``check_complete`` on two families at four sizes
@@ -44,6 +44,15 @@ The first, checking call builds the rep's sublevels and decides its hc2,
 which the rep keeps, so the samples time hc7's own pair scan and shifts.
 Its points in are the lattice's m elements.
 
+hc8 (nesting) and ``reduced_equalities`` run on the same meet sequences.
+hc8 holds, so its witness is None; on a chain every candidate below a
+canonical point e_j is 0 or e_j, which antitony settles without nesting.
+The reduction returns no equality.  On a chain every canonical equality is
+trivial; on a divisor lattice the meets of several elements are kept, and
+the closure through the unit points alone, already the meet, drops them
+all.  The first call also builds the sublevels, their maxima and the hc1
+and hc2 answers, which the rep keeps.
+
 ``learn`` recovers the hyperplane target ``{x : sum x = s} -> 0`` over
 ``chain(2)`` through ``oracle_from_rep``, for d = 2 with s = 20 to 160
 and d = 3 with s = 6 to 20.  Each round adds one canonical point of the
@@ -81,9 +90,10 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from commrep import (  # noqa: E402
-    INF, Rep, UpSet, chain, check_complete, divisor_lattice, learn, oracle_from_rep, unit,
+    INF, Rep, UpSet, chain, check_complete, divisor_lattice, learn, oracle_from_rep,
+    reduced_equalities, unit,
 )
-from commrep.hc import _hc7_witness  # noqa: E402
+from commrep.hc import _hc7_witness, _hc8_witness  # noqa: E402
 from commrep.upset import max_elements, min_elements  # noqa: E402
 
 # The hyperplane sums per dimension, chosen so that each family spans
@@ -157,11 +167,11 @@ def check_complete_case(d: int, gens):
     return lambda: check_complete(rep, ext), len(ext.points)
 
 
-def hc7_case(lattice):
-    """hc7 on the meet sequence e_j -> j of a distributive lattice."""
+def meet_case(decide, lattice):
+    """decide on the meet sequence e_j -> j of a distributive lattice."""
     m = lattice.m
     rep = Rep._from_checked(lattice, m, tuple(sorted((unit(m, j), j) for j in range(m))))
-    return lambda: _hc7_witness(rep)
+    return lambda: decide(rep)
 
 
 def learn_case(d: int, s: int):
@@ -205,11 +215,17 @@ def cases(sizes: int):
         for n in DISTINCT_SIZES[:sizes]:
             up = distinct(n, x_first)
             yield "complement_maxima", family, f"n={n}", up.complement_maxima, n, Size(2 * n + 1)
-    for m in CHAIN_SIZES[:sizes]:
-        yield "hc7", "chain", f"m={m}", hc7_case(chain(m)), m, None
-    for n in DIVISOR_LATTICES[:sizes]:
-        lattice = divisor_lattice(n)
-        yield "hc7", "divisors", f"n={n}", hc7_case(lattice), lattice.m, None
+    meets = (
+        ("hc7", _hc7_witness, None),
+        ("hc8", _hc8_witness, None),
+        ("reduced_equalities", reduced_equalities, ()),
+    )
+    for layer, decide, expected in meets:
+        for m in CHAIN_SIZES[:sizes]:
+            yield layer, "chain", f"m={m}", meet_case(decide, chain(m)), m, expected
+        for n in DIVISOR_LATTICES[:sizes]:
+            lattice = divisor_lattice(n)
+            yield layer, "divisors", f"n={n}", meet_case(decide, lattice), lattice.m, expected
     for d, sums in LEARN_SUMS.items():
         for s in sums[:sizes]:
             call, rounds = learn_case(d, s)

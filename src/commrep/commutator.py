@@ -21,6 +21,7 @@ translate into equalities that pin the sequence down uniquely.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass
 
@@ -172,8 +173,11 @@ def _reaches(downs: list[int], b: Vec, x: Vec) -> bool:
     an element below it, exactly when b(D) <= x(D) for every down-set D
     generated by part of b's support (v(D) sums v over D).  With downs[j]
     the principal down-set of j as a bitmask, those D are the ORs of the
-    masks of the support, and each distinct one is checked once.
+    masks of the support, and each distinct one is checked once.  When
+    b <= x already, the identity matching works and nothing is enumerated.
     """
+    if all(map(operator.le, b, x)):
+        return True
     sets = {0}
     for j, c in enumerate(b):
         if c:
@@ -187,13 +191,27 @@ def _monotone_closed_rep(lattice: Lattice, pairs):
 
     Unit points (element j at its own singleton bracket) force boundedness;
     monotony puts the value at x below that of each point that reaches x.
+    The evaluator meets the values of those points, skipping the ones that
+    cannot lower the meet gathered so far and those with more arguments
+    than x, which Hall's condition on b's whole support rules out.  With a
+    ``bound`` it returns as soon as the meet lies at or below it, so the
+    result is at or below the bound exactly when the full meet is; ``skip``
+    leaves out the given pair of that index.
     """
     m = lattice.m
     downs = [sum(1 << i for i in range(m) if lattice.leq(i, j)) for j in range(m)]
     pairs = [(unit(m, j), j) for j in range(m)] + list(pairs)
 
-    def closed(x: Vec) -> int:
-        return lattice.big_meet(beta for b, beta in pairs if _reaches(downs, b, x))
+    def closed(x: Vec, bound: int | None = None, skip: int | None = None) -> int:
+        acc, size = lattice.top, sum(x)
+        for i, (b, beta) in enumerate(pairs, -m):  # the given pairs from 0
+            if i == skip or lattice.leq(acc, beta) or sum(b) > size:
+                continue
+            if _reaches(downs, b, x):
+                acc = lattice.meet(acc, beta)
+                if bound is not None and lattice.leq(acc, bound):
+                    break
+        return acc
 
     return closed
 
@@ -208,6 +226,8 @@ def reduced_equalities(rep: Rep) -> tuple[CommEquality, ...]:
     each b = beta that the largest bounded monotone sequence through the
     others already attains at b.  That sequence is bounded and monotone, so
     it never equals one that is not; its values come from Hall's condition.
+    One evaluator through all kept equalities decides each one, leaving
+    that one out and stopping once the meet lies at or below beta.
 
     One pass suffices, in no particular order.  "q reaches b" (_reaches) is
     a partial order: replacements compose, and a strict one keeps the sum
@@ -228,12 +248,11 @@ def reduced_equalities(rep: Rep) -> tuple[CommEquality, ...]:
 
     points = rep.canonical().points
     kept = [CommEquality(v, val) for v, val in points if not trivial(v, val)]
-    if not (check_hc1(rep) and check_hc2(rep)):
+    if not (kept and check_hc1(rep) and check_hc2(rep)):
         return tuple(kept)
-    pairs = [(e.vec, e.rhs) for e in kept]
+    closed = _monotone_closed_rep(lat, [(e.vec, e.rhs) for e in kept])
     return tuple(
-        e for i, e in enumerate(kept)
-        if not lat.leq(_monotone_closed_rep(lat, pairs[:i] + pairs[i + 1 :])(e.vec), e.rhs)
+        e for i, e in enumerate(kept) if not lat.leq(closed(e.vec, e.rhs, i), e.rhs)
     )
 
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from .antitone import Rep
 from .upset import UpSet
-from .vectors import unit, vadd, vinf
+from .vectors import unit, vadd
 
 __all__ = [
     "admissibility_report",
@@ -108,7 +108,11 @@ def _hc8_witness(rep: Rep):
     # the union of the sublevels of j's lower covers, which the rep caches
     # with its sublevels' maxima: the union over one cover is its sublevel
     # as it is, over none (below the bottom) empty, over several minimised.
-    # Every pooled candidate is some b <= a, checked with its own value.
+    # Every pooled candidate is some b <= a, checked with its own value,
+    # except where antitony decides it: below a point valued top nothing
+    # exceeds alpha, and for b <= e_j (b = 0 or b = e_j) the nested vector
+    # lies at or above a, so its value is at most alpha.  The scan order is
+    # that of the unpruned scan, so the first witness is the same.
     _require_encoding(rep)
     lat = rep.lattice
     tops = set()
@@ -118,8 +122,12 @@ def _hc8_witness(rep: Rep):
         )
         tops |= rep._maxima_outside(below)
     for a, alpha in rep.canonical().points:
-        for b in sorted({vinf(a, p) for p in tops}):
+        if alpha == lat.top:
+            continue
+        for b in sorted({tuple(map(min, a, p)) for p in tops}):
             j = rep._value_at(b)
+            if sum(b) <= b[j] <= 1:
+                continue
             nested = tuple(x - y + (t == j) for t, (x, y) in enumerate(zip(a, b)))
             v = rep._value_at(nested)
             if not lat.leq(v, alpha):

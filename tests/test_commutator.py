@@ -6,8 +6,11 @@ from commrep import (
     INF,
     CommEquality,
     Rep,
+    chain,
     check_hc1,
     check_hc2,
+    commutator,
+    divisor_lattice,
     encode_args,
     equal_fn,
     eval_commutator,
@@ -32,6 +35,7 @@ from util import (
     brute_monotone_closed_rep,
     brute_reaches,
     brute_reduced_equalities,
+    count_calls,
     lattice_catalog,
     random_rep,
 )
@@ -373,9 +377,13 @@ def test_reduced_equalities_of_closures_match_materialised_closure():
 
 
 def test_monotone_closure_evaluator_matches_materialised_closure():
-    rng = random.Random(51)
+    # Without a bound the evaluator gives the closure's value, through all
+    # pairs or all but the skipped one; with a bound it stops early, so its
+    # value only has to lie at or below the bound exactly when the
+    # closure's does, and above the closure's.
+    rng, pick = random.Random(51), random.Random(54)
     for lat in lattice_catalog():
-        if lat.m > 3:
+        if lat.m > 4:
             continue
         for _ in range(10):
             pairs = [
@@ -384,8 +392,30 @@ def test_monotone_closure_evaluator_matches_materialised_closure():
             ]
             closed = _monotone_closed_rep(lat, pairs)
             brute = brute_monotone_closed_rep(lat, pairs)
-            for x in box(3, lat.m):
+            skip = pick.randrange(len(pairs)) if pairs else None
+            rest = brute
+            if pairs:
+                rest = brute_monotone_closed_rep(lat, pairs[:skip] + pairs[skip + 1 :])
+            for x in box(3 if lat.m <= 3 else 2, lat.m):
                 assert closed(x) == brute.eval(x)
+                assert closed(x, skip=skip) == rest.eval(x)
+                bound = pick.randrange(lat.m)
+                for got, want in ((closed(x, bound), brute), (closed(x, bound, skip), rest)):
+                    assert lat.leq(got, bound) == lat.leq(want.eval(x), bound)
+                    assert lat.leq(want.eval(x), got)
+
+
+def test_reduced_equalities_of_meet_sequences_build_at_most_one_closure(monkeypatch):
+    # On a chain every canonical equality of e_j -> j is trivial, so no
+    # closure is built; on a Boolean lattice the meets of several elements
+    # are kept, and one closure through the unit points drops them all.
+    for lat, closures in ((chain(64), 0), (divisor_lattice(30), 1), (divisor_lattice(210), 1)):
+        m = lat.m
+        rep = Rep(lat, m, [(unit(m, j), j) for j in range(m)])
+        calls = count_calls(monkeypatch, commutator, "_monotone_closed_rep")
+        assert reduced_equalities(rep) == ()
+        assert len(calls) == closures
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("k", [128, 512])

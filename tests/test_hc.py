@@ -40,6 +40,7 @@ from util import (
     count_calls,
     random_ext_vec,
     random_rep,
+    scan_hc8_witness,
     small_lattices,
 )
 
@@ -103,6 +104,7 @@ def test_hc8_counterexample_at_any_count():
             "value": "1",
             "bound": "0",
         }
+        assert w == scan_hc8_witness(Rep(two, 2, [((k, 0), "0")]))
         assert not check_hc8(rep)
         assert_hc8_violation(rep, w)
     assert brute_hc8(Rep(two, 2, [((7, 0), "0")]))["inner"] == (1, 0)
@@ -137,6 +139,7 @@ def test_hc8_matches_brute_force():
             continue
         passing += 1
         w, brute = _hc8_witness(rep), brute_hc8(rep)
+        assert w == scan_hc8_witness(rep)
         assert (w is None) == (brute is None)
         assert check_hc8(rep) == (w is None)
         if w is not None:
@@ -499,6 +502,37 @@ def test_is_admissible_agrees_with_the_report():
             seen[failing[0]] += 1
     assert seen[True] >= 100 and seen[False] >= 50, seen
     assert seen["hc7"] >= 1 and seen["hc8"] >= 5, seen  # the only failing check
+
+
+def test_hc8_witness_is_the_unpruned_scans_first():
+    rep = fixture_rep("fails_hc8")
+    w = _hc8_witness(rep)
+    assert w is not None and w == scan_hc8_witness(fixture_rep("fails_hc8"))
+    assert_hc8_violation(rep, w)
+
+
+def test_hc8_evaluates_only_what_antitony_leaves_open(monkeypatch):
+    # Below a canonical point valued top nothing is evaluated: a constant
+    # top has the zero vector as its only canonical point.  On the meet
+    # sequence e_j -> j of a chain each point e_j below the top has the
+    # candidates 0 and e_j, both at most e_F(b), so each is evaluated once
+    # and no nested vector is.
+    for lat in small_lattices(max_size=5):
+        rep = Rep(lat, lat.m, [(unit(lat.m, j), lat.top) for j in range(lat.m)])
+        _hc8_witness(rep)  # builds the sublevels and their maxima
+        calls = count_calls(monkeypatch, Rep, "_value_at")
+        assert _hc8_witness(rep) is None and calls == []
+        monkeypatch.undo()
+    for m in (2, 5, 16):
+        lat = chain(m)
+        rep = Rep(lat, m, [(unit(m, j), j) for j in range(m)])
+        _hc8_witness(rep)
+        calls = count_calls(monkeypatch, Rep, "_value_at")
+        assert _hc8_witness(rep) is None
+        points = [a for a, alpha in rep.canonical().points if alpha != lat.top]
+        assert len(points) == m - 1
+        assert calls == [(rep, b) for a in points for b in ((0,) * m, a)]
+        monkeypatch.undo()
 
 
 def test_report_witnesses_are_copies():

@@ -19,7 +19,7 @@ from commrep import (
     equal_fn,
     to_equalities,
 )
-from commrep.vectors import residual, unit, vadd, vleq, vsub, vsup, zero
+from commrep.vectors import residual, unit, vadd, vinf, vleq, vsub, vsup, zero
 
 
 def bool4() -> Lattice:
@@ -344,6 +344,35 @@ def brute_hc8(rep: Rep):
     lat = rep.lattice
     for a, alpha in rep.canonical().points:
         for b in product(*(range(c + 1) for c in a)):
+            j = rep.eval(b)
+            nested = vadd(vsub(a, b), unit(rep.dim, j))
+            v = rep.eval(nested)
+            if not lat.leq(v, alpha):
+                return {
+                    "property": "hc8",
+                    "point": a,
+                    "inner": b,
+                    "inner_value": lat.name(j),
+                    "value": lat.name(v),
+                    "bound": lat.name(alpha),
+                }
+    return None
+
+
+def scan_hc8_witness(rep: Rep):
+    """The first hc8 counterexample from the candidate scan with nothing
+    pruned (the scan that ``_hc8_witness`` prunes by antitony): every
+    candidate b = a meet p, for each canonical point a and each maximum p
+    outside the union of the sublevels of some element's lower covers, is
+    evaluated and nested back in, the top-valued points included."""
+    lat = rep.lattice
+    tops = set()
+    for j in range(lat.m):
+        covers = lat.lower_covers(j)
+        below = UpSet.from_points(rep.dim, (g for c in covers for g in rep.sublevel(c).gens))
+        tops |= below.complement_maxima()
+    for a, alpha in rep.canonical().points:
+        for b in sorted({vinf(a, p) for p in tops}):
             j = rep.eval(b)
             nested = vadd(vsub(a, b), unit(rep.dim, j))
             v = rep.eval(nested)
