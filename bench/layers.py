@@ -1,10 +1,11 @@
 """Per-layer timings of commrep's antichain primitives, of
-``Rep.complete`` and ``check_complete``, of the hc7 and hc8 deciders, of
-``reduced_equalities`` and of ``learn``, with scaling slopes.
+``Rep.canonical``, ``Rep.complete`` and ``check_complete``, of the hc7 and
+hc8 deciders, of ``reduced_equalities`` and of ``learn``, with scaling
+slopes.
 
 Times ``min_elements``, ``max_elements``, ``UpSet.complement_maxima``,
-``Rep.complete`` and ``check_complete`` on two families at four sizes
-each:
+``Rep.canonical``, ``Rep.complete`` and ``check_complete`` on two families
+at four sizes each:
 
 - hyperplanes ``{x in N^d : sum x = s}`` for d = 3 to 8, antichains whose
   complement maxima are the hyperplane at s - 1;
@@ -18,18 +19,21 @@ falling, z drawn at random), whose maxima number 2n + 1, which is what
 is checked.  ``distinct x first`` sorts them by x, so that coordinate 0
 rises with the points, ``distinct x last`` by z, with x moved last.
 
-``Rep.complete`` runs on a fresh ``Rep`` over ``chain(2)`` that values each
-point of the antichain 0.  Its output is the antichain at 0, the complement
-maxima at 1 and the zero vector, the one generator of the top level, at 1.
-The rep has no point at the zero vector, so F(0) is top, 1; the
-generators take their levels' values and every complement maximum,
-lying outside the 0-sublevel, takes F(0), so nothing is evaluated.
+``Rep.canonical`` runs on a fresh ``Rep`` over ``chain(2)`` that values each
+point of the antichain 0.  Its output is the antichain at 0 and the zero
+vector, the one generator of the top level, at 1.
+
+``Rep.complete`` runs on such a fresh rep.  Its output is the antichain
+at 0, the complement maxima at 1 and the zero vector at 1.  The rep has
+no point at the zero vector, so F(0) is top, 1; the generators take
+their levels' values and every complement maximum, lying outside the
+0-sublevel, takes F(0), so nothing is evaluated.
 
 ``check_complete`` runs on one such rep and ``complete()``'s own output,
-which it accepts.  The first, checking call of ``complete()`` builds the
-rep's sublevels, complement maxima and the values the levels prove, which
-the rep keeps, so the samples time the check itself.  Its points in are
-the output's points.
+which it accepts.  The call of ``complete()`` builds the rep's level
+table (its sublevels, their complement maxima and the values the levels
+prove), which the rep keeps and the check reads, so the samples time the
+check itself.  Its points in are the output's points.
 
 hc7 (join distributivity, ``commrep.hc``) runs on the meet sequence
 ``e_j -> j`` of two families of distributive lattices, where it holds, so
@@ -149,6 +153,16 @@ def distinct(n: int, x_first: bool) -> UpSet:
     return UpSet._from_antichain(3, tuple(sorted(p if x_first else p[::-1] for p in pts)))
 
 
+def canonical_case(d: int, gens):
+    """A call of ``canonical()`` on a fresh rep valuing gens 0, and its points."""
+    points = tuple((g, 0) for g in gens)
+
+    def call():
+        return Rep._from_checked(CHAIN_2, d, points).canonical().points
+
+    return call, tuple(sorted(points + (((0,) * d, 1),)))
+
+
 def complete_case(d: int, gens, maxima):
     """A call of ``complete()`` on a fresh rep valuing gens 0, and its points."""
     points = tuple((g, 0) for g in gens)
@@ -196,6 +210,8 @@ def cases(sizes: int):
             yield "min_elements", family, f"s={s}", lambda p=pts: min_elements(p), len(pts), set(pts)
             yield "max_elements", family, f"s={s}", lambda p=pts: max_elements(p), len(pts), set(pts)
             yield "complement_maxima", family, f"s={s}", up.complement_maxima, len(pts), below
+            call, points = canonical_case(d, pts)
+            yield "canonical", family, f"s={s}", call, len(pts), points
             call, points = complete_case(d, pts, below)
             yield "complete", family, f"s={s}", call, len(pts), points
             call, n = check_complete_case(d, pts)
@@ -207,6 +223,8 @@ def cases(sizes: int):
         yield "complement_maxima", family, f"k={k}", matching(k).complement_maxima, k, maxima
         yield "min_elements", family, f"k={k}", lambda p=pts: min_elements(p), len(pts), maxima
         yield "max_elements", family, f"k={k}", lambda p=pts: max_elements(p), len(pts), maxima
+        call, points = canonical_case(2 * k, matching(k).gens)
+        yield "canonical", family, f"k={k}", call, k, points
         call, points = complete_case(2 * k, matching(k).gens, maxima)
         yield "complete", family, f"k={k}", call, k, points
         call, n = check_complete_case(2 * k, matching(k).gens)

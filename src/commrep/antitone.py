@@ -99,11 +99,11 @@ class Rep(_PointSet):
     Evaluation asks a bitmap dominance index over the points which of them
     lie below the query; the index is built on the first evaluation that
     misses the memo of values.  The meet profile, the sublevels, the
-    complement maxima of each distinct upset, the list of each element's
-    sublevel and the maxima outside it that :meth:`complete` and
-    :func:`check_complete` read, the canonical representation, the values
-    the levels prove (see :meth:`complete`) and the hc1, hc2, hc7 and hc8
-    witnesses of :mod:`commrep.hc` are computed once and kept.
+    complement maxima of each distinct upset, the level table that
+    :meth:`complete` and :func:`check_complete` read (each element's
+    sublevel, the maxima outside it and the values the levels prove), the
+    canonical representation and the hc1, hc2, hc7 and hc8 witnesses of
+    :mod:`commrep.hc` are computed once and kept.
     """
 
     def __init__(self, lattice: Lattice, dim: int, points: Iterable = ()):
@@ -122,11 +122,9 @@ class Rep(_PointSet):
         self._index: _Below | None = None
         self._levels: dict[int, UpSet] = {}
         self._maxima: dict[UpSet, set[Vec]] = {}
-        self._critical: list[tuple[UpSet, Iterable[Vec]]] | None = None
+        self._table: tuple[list[tuple[UpSet, Iterable[Vec]]], dict[Vec, int]] | None = None
         self._profile: dict[int, tuple[Vec, ...]] | None = None
         self._canonical: Rep | None = None
-        self._canon_values: dict[Vec, int] | None = None
-        self._proof: dict[Vec, int] | None = None
         self._witnesses: dict[str, dict | None] = {}
 
     # -- evaluation ---------------------------------------------------------
@@ -229,25 +227,10 @@ class Rep(_PointSet):
 
     def _maxima_outside(self, level: UpSet) -> set[Vec]:
         # The maximal vectors outside an upset, computed once per distinct
-        # upset for _critical_points() and hc8; do not mutate.
+        # upset for _level_table() and hc8; do not mutate.
         if level not in self._maxima:
             self._maxima[level] = level.complement_maxima()
         return self._maxima[level]
-
-    def _critical_points(self) -> list[tuple[UpSet, Iterable[Vec]]]:
-        # For each element a, the a-sublevel and the maximal vectors outside
-        # it, built once for _proven(), complete() and check_complete; do
-        # not mutate.  A level at or above F(0) is all of N^dim, as
-        # sublevel() has it, so nothing lies outside it.
-        if self._critical is None:
-            lat = self.lattice
-            f0 = self._at_zero()
-            levels = [self.sublevel(a) for a in range(lat.m)]
-            self._critical = [
-                (level, () if lat.leq(f0, a) else self._maxima_outside(level))
-                for a, level in enumerate(levels)
-            ]
-        return self._critical
 
     def canonical(self) -> "Rep":
         """The canonical representation: minimal vectors of each value class.
@@ -264,41 +247,40 @@ class Rep(_PointSet):
             )
         return self._canonical
 
-    def _canonical_values(self) -> dict[Vec, int]:
-        # Each sublevel generator's canonical value, read off canonical()
-        # once and kept for check_complete; do not mutate.
-        if self._canon_values is None:
-            self._canon_values = dict(self.canonical().points)
-        return self._canon_values
-
-    def _proven(self) -> dict[Vec, int]:
-        # The values of the critical points that the levels prove, with no
-        # evaluation: each sublevel generator's canonical value, and F(0)
-        # at the complement maxima that antitony decides.  F(p) <= F(0)
-        # always, and F(p) < F(0) only when p lies in the sublevel of some
-        # lower cover c of F(0).  A maximum outside the a-sublevel lies
-        # outside the c-sublevel for every c <= a, so p takes F(0) when
-        # each lower cover lies below some a whose complement maxima hold
-        # p; the bits of reached[p] mark the covers seen so far.  Kept for
-        # complete() and check_complete; do not mutate.
-        if self._proof is None:
+    def _level_table(self) -> tuple[list[tuple[UpSet, Iterable[Vec]]], dict[Vec, int]]:
+        # Built once for complete() and check_complete; do not mutate.  For
+        # each element a, the a-sublevel and the maximal vectors outside it,
+        # none outside a level at or above F(0), which is all of N^dim as
+        # sublevel() has it; and the values the levels prove, with no
+        # evaluation.  Each sublevel generator takes its canonical value,
+        # read off canonical() when it is built, else from one pass over the
+        # levels.  F(p) <= F(0) always, and F(p) < F(0) only when p lies in
+        # the sublevel of some lower cover c of F(0).  A maximum outside the
+        # a-sublevel lies outside the c-sublevel for every c <= a, so p takes
+        # F(0) when each lower cover lies below some a whose complement
+        # maxima hold p; the bits of reached[p] mark the covers seen so far.
+        if self._table is None:
             lat = self.lattice
-            critical = self._critical_points()
             f0 = self._at_zero()
             covers = lat.lower_covers(f0)
-            pts = _level_values(lat, [level for level, _ in critical])
+            levels = [self.sublevel(a) for a in range(lat.m)]
+            critical = []
             reached: dict[Vec, int] = {}
-            for a, (_, maxima) in enumerate(critical):
+            for a, level in enumerate(levels):
+                maxima = () if lat.leq(f0, a) else self._maxima_outside(level)
+                critical.append((level, maxima))
                 bits = sum(1 << i for i, c in enumerate(covers) if lat.leq(c, a))
                 if bits:
                     for p in maxima:
                         reached[p] = reached.get(p, 0) | bits
+            canon = self._canonical
+            proven = dict(canon.points) if canon is not None else _level_values(lat, levels)
             full = (1 << len(covers)) - 1
             for p, bits in reached.items():
                 if bits == full:
-                    pts.setdefault(p, f0)
-            self._proof = pts
-        return self._proof
+                    proven.setdefault(p, f0)
+            self._table = critical, proven
+        return self._table
 
     def complete(self) -> "ExtRep":
         """A finite subset of the extended graph pinning the function uniquely.
@@ -313,12 +295,17 @@ class Rep(_PointSet):
         value at the zero vector and the largest one, when it lies outside
         the sublevel of every lower cover of F(0), as it does when each
         such cover lies below an element whose complement maxima hold it.
-        Only the other maxima are evaluated.  The points are checked
-        vectors with element indices and one value per vector, so the result
-        is built without the coercion of the :class:`ExtRep` constructor.
+        Only the other maxima are evaluated.  The levels, their maxima and
+        the values they prove form one table, built once and read again by
+        :func:`check_complete`; the generators' values come from
+        :meth:`canonical` when it is built, so the levels are not passed
+        over twice.  The points are checked vectors with element indices
+        and one value per vector, so the result is built without the
+        coercion of the :class:`ExtRep` constructor.
         """
-        pts = dict(self._proven())
-        for _, maxima in self._critical_points():
+        critical, proven = self._level_table()
+        pts = dict(proven)
+        for _, maxima in critical:
             for vec in maxima:
                 if vec not in pts:
                     pts[vec] = self._value_at(vec)
@@ -378,13 +365,14 @@ def check_complete(rep: Rep, ext: ExtRep) -> bool:
     does not drop below alpha.
 
     The points of ``ext`` are already checked by the :class:`ExtRep`
-    constructor, so step (i) reads them without coercing them again.  It
-    first compares the canonical vectors of ``ext`` with the values
-    :meth:`Rep.canonical` gives them, which need the sublevels but none of
-    their complement maxima, so a wrong value there is rejected before
-    any maximum is computed.  Of the other points, a complement maximum
-    valued F(0) by the rule :meth:`Rep.complete` uses is compared with
-    F(0), and only the rest are evaluated.
+    constructor, so step (i) reads them without coercing them again.  On a
+    rep that has not built its level table yet, it first compares the
+    canonical vectors of ``ext`` with the values :meth:`Rep.canonical`
+    gives them, which need the sublevels but none of their complement
+    maxima, so a wrong value there is rejected before any maximum is
+    computed.  Then every point is compared with the value the table of
+    :meth:`Rep.complete` proves for it, a canonical value or F(0), and
+    only the points it proves nothing for are evaluated.
     Once (i) holds, every point of ``ext`` carries F's value, so a critical
     point b that ``ext`` holds settles (ii) at b by itself: below a minimal
     vector b of the alpha-sublevel the meet is at most F(b) <= alpha, and
@@ -392,27 +380,22 @@ def check_complete(rep: Rep, ext: ExtRep) -> bool:
     is not <= alpha.  The points of ``ext`` below and above each other
     query come from two dominance indexes over ``ext.points``, each built
     at the first critical point that ``ext`` lacks; the sublevels and
-    their complement maxima are the ones ``rep`` keeps for
-    :meth:`Rep.complete`.
+    their complement maxima are the ones the table holds.
     """
     rep._compatible(ext)
     lat = rep.lattice
-    canon = rep._canonical_values()
-    rest = []
-    for point in ext.points:
-        want = canon.get(point[0])
-        if want is None:
-            rest.append(point)
-        elif want != point[1]:
+    if rep._table is None:
+        canon = dict(rep.canonical().points)
+        if any(canon.get(vec, val) != val for vec, val in ext.points):
             return False
-    proven = rep._proven()
-    for vec, val in rest:
+    critical, proven = rep._level_table()
+    for vec, val in ext.points:
         want = proven.get(vec)
         if (rep._value_at(vec) if want is None else want) != val:
             return False
     held = dict(ext.points)
     below = above = None
-    for a, (level, maxima) in enumerate(rep._critical_points()):
+    for a, (level, maxima) in enumerate(critical):
         for b in level.gens:
             if b not in held:
                 below = below or _Below(ext.points)

@@ -437,6 +437,59 @@ def test_check_complete_builds_no_index_when_ext_holds_every_critical_point(
     assert calls == []
 
 
+def test_level_table_matches_brute_force_with_and_without_canonical():
+    # The level table takes its generators' values from canonical() when
+    # that is built first, and from one pass over the levels when it is
+    # not; either way canonical() matches the old level-minima rule,
+    # complete() the critical points valued on their own, and each value
+    # the table proves is F's there.  Every third rep is offset by 2^60 and
+    # valued by the point scan, as its box would be 2^60 wide.
+    rng = random.Random(43)
+    lattices = lattice_catalog()
+    for i in range(300):
+        lat = lattices[i % len(lattices)]
+        d = rng.randrange(1, 4)
+        rep = random_rep(rng, lat, d, max_coord=4, max_points=6)
+        if i % 3 == 0:
+            rep = Rep(lat, d, [(tuple(c + 2**60 for c in v), e) for v, e in rep.points])
+        evaluate = brute_eval if i % 3 == 0 else brute_eval_ext
+        expected = brute_complete(rep, evaluate)
+        both, alone = Rep(lat, d, rep.points), Rep(lat, d, rep.points)
+        levels = [both.sublevel(a) for a in range(lat.m)]
+        assert both.canonical().points == brute_rep_from_level_minima(lat, d, levels).points
+        assert both.complete().points == expected
+        assert alone.complete().points == expected
+        proven = both._level_table()[1]
+        assert proven == alone._level_table()[1]
+        assert all(evaluate(rep, vec) == val for vec, val in proven.items())
+
+
+@pytest.mark.parametrize("name", ["div52", "B", "B7", "hyperplane"])
+def test_the_levels_are_passed_over_once_per_rep(monkeypatch, name):
+    # canonical(), complete() and check_complete on one rep read the
+    # generators' values off one pass over the levels, and so do complete()
+    # alone, complete() then check_complete, and check_complete on a fresh
+    # rep, which builds the canonical rep before the table
+    def fresh():
+        if name == "hyperplane":
+            return Rep(chain(2), 3, [(x, 0) for x in hyperplane(3, 6)])
+        return example(name)[1]
+
+    comp = fresh().complete()
+    calls = count_calls(monkeypatch, antitone, "_level_values")
+    for steps in ("canonical complete check", "complete", "complete check", "check"):
+        rep = fresh()
+        calls.clear()
+        for step in steps.split():
+            if step == "canonical":
+                rep.canonical()
+            elif step == "complete":
+                assert rep.complete() == comp
+            else:
+                assert check_complete(rep, comp)
+        assert len(calls) == 1, steps
+
+
 def test_canonical_and_join_build_no_rep_through_the_constructor(monkeypatch):
     div52, rep = example("div52")
     other = Rep(div52, 2, [((5, 5), "13"), ((20, 0), "4")])

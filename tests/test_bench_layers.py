@@ -21,7 +21,8 @@ def test_layer_bench_runs_its_smallest_sizes(tmp_path, monkeypatch):
     layers.main(["--out", str(out), "--sizes", "2"])
     record = json.loads(out.read_text())
     families = [f"hyperplane d={d}" for d in range(3, 9)] + ["matching"]
-    ops = ("min_elements", "max_elements", "complement_maxima", "complete", "check_complete")
+    ops = ("min_elements", "max_elements", "complement_maxima", "canonical", "complete",
+           "check_complete")
     pairs = {(r["layer"], r["family"]) for r in record["cases"]}
     meets = {(op, f) for op in ("hc7", "hc8", "reduced_equalities") for f in ("chain", "divisors")}
     distinct = {("complement_maxima", "distinct x first"), ("complement_maxima", "distinct x last")}

@@ -8,6 +8,7 @@ from commrep import (
     Oracle,
     Rep,
     RoundLimitError,
+    antitone,
     chain,
     equal_fn,
     learn,
@@ -113,6 +114,21 @@ def test_learn_hyperplane_target():
     learned = learn(oracle_from_rep(target))
     assert time.perf_counter() - start < 2.5
     assert learned == target and len(learned.points) == 66
+
+
+def test_learn_builds_no_canonical_rep(monkeypatch):
+    # each round completes a fresh hypothesis, whose level table makes one
+    # pass over its levels; no round builds a canonical representation
+    two = chain(2, ["0", "1"])
+    target = Rep(two, 2, [(x, "0") for x in hyperplane(2, 12)])
+    oracle = oracle_from_rep(target)
+    passes = count_calls(monkeypatch, antitone, "_level_values")
+    canonical = count_calls(monkeypatch, Rep, "canonical")
+    history = []
+    assert learn(oracle, history=history) == target
+    assert len(history) == 13
+    assert len(passes) == len(history) + 1
+    assert canonical == []
 
 
 def test_inconsistent_oracle_exhausts_the_query_budget():
