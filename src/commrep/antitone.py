@@ -99,11 +99,12 @@ class Rep(_PointSet):
     Evaluation asks a bitmap dominance index over the points which of them
     lie below the query; the index is built on the first evaluation that
     misses the memo of values.  The meet profile, the sublevels, the
-    complement maxima of each distinct upset, the level table that
-    :meth:`complete` and :func:`check_complete` read (each element's
-    sublevel, the maxima outside it and the values the levels prove), the
-    canonical representation and the hc1, hc2, hc7 and hc8 witnesses of
-    :mod:`commrep.hc` are computed once and kept.
+    complement maxima of each distinct upset, the level table (each
+    element's sublevel, the maxima outside it and the values the levels
+    prove), the canonical representation and the hc1, hc2, hc7 and hc8
+    witnesses of :mod:`commrep.hc` are computed once and kept.
+    :meth:`complete` and :func:`check_complete` read the level table,
+    which whichever of them runs first builds.
     """
 
     def __init__(self, lattice: Lattice, dim: int, points: Iterable = ()):
@@ -365,14 +366,10 @@ def check_complete(rep: Rep, ext: ExtRep) -> bool:
     does not drop below alpha.
 
     The points of ``ext`` are already checked by the :class:`ExtRep`
-    constructor, so step (i) reads them without coercing them again.  On a
-    rep that has not built its level table yet, it first compares the
-    canonical vectors of ``ext`` with the values :meth:`Rep.canonical`
-    gives them, which need the sublevels but none of their complement
-    maxima, so a wrong value there is rejected before any maximum is
-    computed.  Then every point is compared with the value the table of
+    constructor, so step (i) reads them without coercing them again.  It
+    compares every point with the value the level table of
     :meth:`Rep.complete` proves for it, a canonical value or F(0), and
-    only the points it proves nothing for are evaluated.
+    evaluates only the points it proves nothing for.
     Once (i) holds, every point of ``ext`` carries F's value, so a critical
     point b that ``ext`` holds settles (ii) at b by itself: below a minimal
     vector b of the alpha-sublevel the meet is at most F(b) <= alpha, and
@@ -384,10 +381,6 @@ def check_complete(rep: Rep, ext: ExtRep) -> bool:
     """
     rep._compatible(ext)
     lat = rep.lattice
-    if rep._table is None:
-        canon = dict(rep.canonical().points)
-        if any(canon.get(vec, val) != val for vec, val in ext.points):
-            return False
     critical, proven = rep._level_table()
     for vec, val in ext.points:
         want = proven.get(vec)

@@ -143,18 +143,29 @@ def _hc8_witness(rep: Rep):
 
 
 def _hc7_separator(shifted: list[UpSet], i: int, j: int, k: int):
-    """A generator in just one of {x : F(x + e_k) <= alpha} and
-    {x : F(x + e_i) <= alpha and F(x + e_j) <= alpha}, or None, where
-    shifted[t] is {x : F(x + e_t) <= alpha}.  Both are upsets given by
-    sorted minimal antichains, so when their generators differ, some
-    generator of one lies outside the other, and the scan returns it."""
-    ek = shifted[k]
-    both = shifted[i] & shifted[j]
-    if ek.gens == both.gens:
-        return None
-    for g in ek.gens + both.gens:
-        if not (ek.member(g) and both.member(g)):
+    """A generator in just one of E = {x : F(x + e_k) <= alpha} and
+    I = {x : F(x + e_i) <= alpha and F(x + e_j) <= alpha}, or None, where
+    shifted[t] is {x : F(x + e_t) <= alpha}: the first that a scan of E's
+    sorted generators and then I's finds.
+
+    Nothing is intersected.  The first generator of E outside shifted[i]
+    or shifted[j] is the first one outside I.  When there is none, E lies
+    in I, and the separator is the least generator of I outside E.  That
+    is the least supremum g v h outside E, over generators g of shifted[i]
+    and h of shifted[j] that lie outside E; a generator in E puts every
+    supremum with it in E, so no other pair gives one.  Each generator of
+    I is such a supremum.  Conversely, below the least such supremum s
+    lies a generator of I, which is outside E as E is an upset, so it is
+    one of them; it is at most s in the sorted order too, so it is s.
+    When there is no such supremum, I lies in E and the two are equal.
+    """
+    ek, si, sj = shifted[k], shifted[i], shifted[j]
+    for g in ek.gens:
+        if not (si._contains(g) and sj._contains(g)):
             return g
+    hs = [h for h in sj.gens if not ek._contains(h)]
+    sups = [tuple(map(max, g, h)) for g in si.gens if not ek._contains(g) for h in hs]
+    return min([s for s in sups if not ek._contains(s)], default=None)
 
 
 def _hc7_witness(rep: Rep):

@@ -16,7 +16,7 @@ from functools import reduce
 from itertools import compress, islice
 from typing import Iterable, Iterator, Sequence, Set
 
-from .vectors import INF, Vec, _check_dim, as_ext_vec, as_nat_vec, vleq
+from .vectors import INF, Vec, _check_dim, as_ext_vec, as_nat_vec
 
 __all__ = ["UpSet", "max_elements", "min_elements"]
 
@@ -254,8 +254,14 @@ class UpSet:
 
     def member(self, x) -> bool:
         """Whether x (finite or extended) lies above some generator."""
-        x = as_ext_vec(x, self.dim)
-        return any(vleq(g, x) for g in self.gens)
+        return self._contains(as_ext_vec(x, self.dim))
+
+    def _contains(self, x: Vec) -> bool:
+        # member for an already checked vector of dimension dim
+        for g in self.gens:
+            if all(map(operator.le, g, x)):
+                return True
+        return False
 
     def union(self, other: "UpSet") -> "UpSet":
         self._compatible(other)

@@ -15,6 +15,7 @@ from commrep import (
     check_hc2,
     check_hc7,
     check_hc8,
+    divisor_lattice,
     equal_fn,
     example,
     is_admissible,
@@ -193,11 +194,33 @@ def test_hc7_counterexample_on_diamond():
     assert not brute_hc7_holds(rep)
 
 
+def divisor_reps(rng, n: int) -> list:
+    """n encodings over divisor_lattice(30), which has 9 incomparable
+    pairs.  The even ones send the unit vectors of two random principal
+    downsets to the bottom and every other unit vector e_j to j, so that
+    hc2 mostly holds and a pair of low incomparable arguments whose join
+    is not low separates; the odd ones are random.  Each has up to three
+    (even) or six (odd) random points with coordinates up to 2."""
+    lat = divisor_lattice(30)
+    reps = []
+    for t in range(n):
+        extra = random_rep(rng, lat, lat.m, max_coord=2, max_points=6 if t % 2 else 3)
+        if t % 2:
+            reps.append(extra)
+            continue
+        tops = rng.sample(range(lat.m), 2)
+        low = {e for e in range(lat.m) if any(lat.leq(e, top) for top in tops)}
+        units = [(unit(lat.m, j), lat.bottom if j in low else j) for j in range(lat.m)]
+        reps.append(Rep(lat, lat.m, units + list(extra.points)))
+    return reps
+
+
 def test_hc7_witness_matches_pairwise_shifts():
     # Sharing one shift per (sublevel, unit vector) across all pairs, and
-    # skipping the member scan on equal generators, returns the witness
-    # the pair-by-pair search finds.  The last 200 of the first 1,200
-    # encodings are moved up by 2^60 in each nonzero coordinate.
+    # comparing generators instead of building each pair's intersection,
+    # returns the witness the pair-by-pair search finds.  The last 200 of
+    # the first 1,200 encodings are moved up by 2^60 in each nonzero
+    # coordinate.
     rng = random.Random(15)
     lattices = small_lattices(max_size=4)
     seen = {(big, fails): 0 for big in (False, True) for fails in (False, True)}
@@ -225,6 +248,38 @@ def test_hc7_witness_matches_pairwise_shifts():
         assert w == brute_hc7_witness(rep), rep
         atoms += w is not None and w["joined"] == ("a", "b")
     assert atoms >= 100, atoms
+    # On divisor_lattice(30) a witness at a comparable pair (43 in 100) is
+    # a generator of the join's side that the other side lacks.  One at an
+    # incomparable pair (39) can also be the least failing supremum of two
+    # generators outside the join's side, as on the even encodings.  18
+    # encodings pass.
+    lat = divisor_lattice(30)
+    seen = {"incomparable": 0, "comparable": 0, None: 0}
+    for rep in divisor_reps(rng, 100):
+        w = _hc7_witness(rep)
+        assert w == brute_hc7_witness(rep), rep
+        if w is None:
+            seen[None] += 1
+        else:
+            i, j = (lat.index(name) for name in w["joined"])
+            seen["comparable" if lat.join(i, j) in (i, j) else "incomparable"] += 1
+    assert min(seen.values()) >= 5 and seen["incomparable"] >= 30, seen
+
+
+def test_hc7_builds_no_intersection(monkeypatch):
+    # hc7 compares generators of the shifted sublevels and never
+    # intersects two of them, on bool4 and on divisor_lattice(30), where
+    # hc2 holds or fails.
+    calls = count_calls(monkeypatch, UpSet, "__and__")
+    rng = random.Random(27)
+    reps = [random_rep(rng, bool4(), 4, max_coord=2, max_points=6) for _ in range(40)]
+    reps += divisor_reps(rng, 10)
+    lat = divisor_lattice(30)
+    reps.append(Rep(lat, lat.m, [(unit(lat.m, j), j) for j in range(lat.m)]))
+    found = [_hc7_witness(rep) for rep in reps]
+    assert calls == []
+    assert found[-1] is None and any(w is not None for w in found)
+    assert any(w is None for w in found[:-1])
 
 
 def test_hc7_holds_on_chains_where_hc2_holds():
