@@ -54,8 +54,10 @@ canonical point e_j is 0 or e_j, which antitony settles without nesting.
 The reduction returns no equality.  On a chain every canonical equality is
 trivial; on a divisor lattice the meets of several elements are kept, and
 the closure through the unit points alone, already the meet, drops them
-all.  The first call also builds the sublevels, their maxima and the hc1
-and hc2 answers, which the rep keeps.
+all.  hc8's first call also builds the canonical representation and the
+level table, which holds the sublevels and the maxima outside them; the
+reduction's builds the canonical representation and the hc1 and hc2
+answers.  The rep keeps them all.
 
 ``learn`` recovers the hyperplane target ``{x : sum x = s} -> 0`` over
 ``chain(2)`` through ``oracle_from_rep``, for d = 2 with s = 20 to 160

@@ -99,12 +99,12 @@ class Rep(_PointSet):
     Evaluation asks a bitmap dominance index over the points which of them
     lie below the query; the index is built on the first evaluation that
     misses the memo of values.  The meet profile, the sublevels, the
-    complement maxima of each distinct upset, the level table (each
-    element's sublevel, the maxima outside it and the values the levels
-    prove), the canonical representation and the hc1, hc2, hc7 and hc8
-    witnesses of :mod:`commrep.hc` are computed once and kept.
-    :meth:`complete` and :func:`check_complete` read the level table,
-    which whichever of them runs first builds.
+    level table (each element's sublevel, the maxima outside it and the
+    values the levels prove), the canonical representation and the hc1,
+    hc2, hc7 and hc8 witnesses of :mod:`commrep.hc` are computed once and
+    kept.  :meth:`complete`, :func:`check_complete` and hc8 read the level
+    table, which whichever of them runs first builds; it is the only place
+    the maxima outside the sublevels are kept.
     """
 
     def __init__(self, lattice: Lattice, dim: int, points: Iterable = ()):
@@ -122,7 +122,6 @@ class Rep(_PointSet):
         self._values: dict[Vec, int] = {}
         self._index: _Below | None = None
         self._levels: dict[int, UpSet] = {}
-        self._maxima: dict[UpSet, set[Vec]] = {}
         self._table: tuple[list[tuple[UpSet, Iterable[Vec]]], dict[Vec, int]] | None = None
         self._profile: dict[int, tuple[Vec, ...]] | None = None
         self._canonical: Rep | None = None
@@ -219,19 +218,13 @@ class Rep(_PointSet):
             if lat.leq(self._at_zero(), alpha):
                 level = UpSet._from_antichain(self.dim, (zero(self.dim),))
             else:
-                level = UpSet._from_antichains(
-                    self.dim,
-                    [anti for mval, anti in self._meet_profile().items() if lat.leq(mval, alpha)],
-                )
+                parts = [anti for mval, anti in self._meet_profile().items() if lat.leq(mval, alpha)]
+                if len(parts) <= 1:
+                    level = UpSet._from_antichain(self.dim, parts[0] if parts else ())
+                else:
+                    level = UpSet._from_checked(self.dim, (v for anti in parts for v in anti))
             self._levels[alpha] = level
         return self._levels[alpha]
-
-    def _maxima_outside(self, level: UpSet) -> set[Vec]:
-        # The maximal vectors outside an upset, computed once per distinct
-        # upset for _level_table() and hc8; do not mutate.
-        if level not in self._maxima:
-            self._maxima[level] = level.complement_maxima()
-        return self._maxima[level]
 
     def canonical(self) -> "Rep":
         """The canonical representation: minimal vectors of each value class.
@@ -249,10 +242,11 @@ class Rep(_PointSet):
         return self._canonical
 
     def _level_table(self) -> tuple[list[tuple[UpSet, Iterable[Vec]]], dict[Vec, int]]:
-        # Built once for complete() and check_complete; do not mutate.  For
-        # each element a, the a-sublevel and the maximal vectors outside it,
-        # none outside a level at or above F(0), which is all of N^dim as
-        # sublevel() has it; and the values the levels prove, with no
+        # Built once for complete(), check_complete and hc8; do not mutate.
+        # For each element a, the a-sublevel and the maximal vectors outside
+        # it, none outside a level at or above F(0), which is all of N^dim as
+        # sublevel() has it, and one set shared by equal sublevels below
+        # F(0), computed once; and the values the levels prove, with no
         # evaluation.  Each sublevel generator takes its canonical value,
         # read off canonical() when it is built, else from one pass over the
         # levels.  F(p) <= F(0) always, and F(p) < F(0) only when p lies in
@@ -267,8 +261,11 @@ class Rep(_PointSet):
             levels = [self.sublevel(a) for a in range(lat.m)]
             critical = []
             reached: dict[Vec, int] = {}
+            outside: dict[UpSet, set[Vec]] = {}
             for a, level in enumerate(levels):
-                maxima = () if lat.leq(f0, a) else self._maxima_outside(level)
+                maxima = () if lat.leq(f0, a) else outside.get(level)
+                if maxima is None:
+                    maxima = outside[level] = level.complement_maxima()
                 critical.append((level, maxima))
                 bits = sum(1 << i for i, c in enumerate(covers) if lat.leq(c, a))
                 if bits:
@@ -298,7 +295,7 @@ class Rep(_PointSet):
         such cover lies below an element whose complement maxima hold it.
         Only the other maxima are evaluated.  The levels, their maxima and
         the values they prove form one table, built once and read again by
-        :func:`check_complete`; the generators' values come from
+        :func:`check_complete` and hc8; the generators' values come from
         :meth:`canonical` when it is built, so the levels are not passed
         over twice.  The points are checked vectors with element indices
         and one value per vector, so the result is built without the

@@ -29,9 +29,11 @@ grows with the counts.
 
 from __future__ import annotations
 
+from functools import reduce
+
 from .antitone import Rep
-from .upset import UpSet
-from .vectors import unit, vadd
+from .upset import UpSet, max_elements
+from .vectors import INF, unit, vadd, vinf
 
 __all__ = [
     "admissibility_report",
@@ -100,14 +102,24 @@ def _hc2_witness(rep: Rep):
     return None
 
 
+def _meets(P, Q) -> set:
+    # The maximal vectors of the intersection of the down-sets that P and Q
+    # generate: a vector lies below some p in P and some q in Q exactly
+    # when it lies below their meet, so these are the maximal meets.
+    return max_elements({vinf(p, q) for p in P for q in Q})
+
+
 def _hc8_witness(rep: Rep):
     # Assumes hc2.  For each canonical point a and each b below a, replace
     # the b-part of the arguments by the single element j = eval(b).  The
     # value at a - b + e_j grows with b, so only the largest b <= a with
-    # eval(b) = j matter: each is vinf(a, p) for a complement maximum p of
-    # the union of the sublevels of j's lower covers, which the rep caches
-    # with its sublevels' maxima: the union over one cover is its sublevel
-    # as it is, over none (below the bottom) empty, over several minimised.
+    # eval(b) = j matter: each is vinf(a, p) for a maximum p outside the
+    # union of the sublevels of j's lower covers.  Those maxima come from
+    # the rep's level table, which holds the maxima outside each sublevel:
+    # over one cover they are the cover's own, over none (below the bottom)
+    # the all-INF vector, and over several the maximal pairwise meets of
+    # the covers' maxima, as the outside of a union is the intersection of
+    # the outsides.  The table's sets are read, never changed.
     # Every pooled candidate is some b <= a, checked with its own value,
     # except where antitony decides it: below a point valued top nothing
     # exceeds alpha, and for b <= e_j (b = 0 or b = e_j) the nested vector
@@ -115,13 +127,13 @@ def _hc8_witness(rep: Rep):
     # that of the unpruned scan, so the first witness is the same.
     _require_encoding(rep)
     lat = rep.lattice
+    canon = rep.canonical().points  # first, so the table copies its values
+    critical, _ = rep._level_table()
     tops = set()
     for j in range(lat.m):
-        below = UpSet._from_antichains(
-            rep.dim, [rep.sublevel(c).gens for c in lat.lower_covers(j)]
-        )
-        tops |= rep._maxima_outside(below)
-    for a, alpha in rep.canonical().points:
+        outside = [critical[c][1] for c in lat.lower_covers(j)]
+        tops.update(reduce(_meets, outside) if outside else [(INF,) * rep.dim])
+    for a, alpha in canon:
         if alpha == lat.top:
             continue
         for b in sorted({tuple(map(min, a, p)) for p in tops}):

@@ -232,15 +232,6 @@ class UpSet:
         return cls._from_antichain(dim, tuple(sorted(min_elements(points))))
 
     @classmethod
-    def _from_antichains(cls, dim: int, parts: Sequence[tuple[Vec, ...]]) -> "UpSet":
-        # The upward closure of the union of sorted antichains of checked
-        # vectors: at most one is the generator set as it is (none is the
-        # empty set); only a union of several is minimised again.
-        if len(parts) <= 1:
-            return cls._from_antichain(dim, parts[0] if parts else ())
-        return cls._from_checked(dim, (v for anti in parts for v in anti))
-
-    @classmethod
     def _from_antichain(cls, dim: int, gens: tuple[Vec, ...]) -> "UpSet":
         # gens must already be a sorted antichain of checked vectors.
         self = object.__new__(cls)

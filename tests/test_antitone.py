@@ -370,25 +370,19 @@ def test_complete_b_encoding(rep_b, known_h):
 
 @pytest.mark.parametrize("name", ["B", "B7"])
 def test_complement_maxima_are_computed_once_per_distinct_upset(monkeypatch, name):
-    # complete(), check_complete and hc8 share one cache keyed by the upset:
-    # the sublevels of 0, alpha and 1, and hc8's union of the lower-cover
-    # sublevels of each element, which is empty for 0 and a sublevel else.
-    # The 1-sublevel is all of N^3, outside which nothing is computed.
+    # complete(), check_complete and hc8 read one level table, which holds
+    # the maxima outside each distinct sublevel below F(0), computed once:
+    # the sublevels of 0 and alpha.  The 1-sublevel is all of N^3, outside
+    # which nothing is computed, and hc8 computes no maxima of its own.
     lat, rep = example(name)
     calls = count_calls(monkeypatch, UpSet, "complement_maxima")
     admissibility_report(rep)
     to_extended_equalities(rep)
     assert check_complete(rep, rep.complete())
-    sublevels = {rep.sublevel(a) for a in range(lat.m)}
-    unions = {
-        UpSet.from_points(
-            rep.dim, (g for c in lat.lower_covers(j) for g in rep.sublevel(c).gens)
-        )
-        for j in range(lat.m)
-    }
-    upsets = (sublevels | unions) - {UpSet.from_points(rep.dim, [(0,) * rep.dim])}
-    assert set(calls) == {(u,) for u in upsets}
-    assert len(calls) == len(upsets) == 3
+    f0 = rep.eval((0,) * rep.dim)
+    below = {rep.sublevel(a) for a in range(lat.m) if not lat.leq(f0, a)}
+    assert set(calls) == {(u,) for u in below}
+    assert len(calls) == len(below) == 2
 
 
 def test_equal_sublevels_share_their_complement_maxima(monkeypatch):

@@ -1,11 +1,13 @@
 import json
 import random
 import time
+from functools import reduce
 from pathlib import Path
 
 import pytest
 
 from commrep import (
+    INF,
     Rep,
     antitone,
     admissibility_report,
@@ -39,6 +41,9 @@ from util import (
     brute_hc7_witness,
     brute_hc8,
     count_calls,
+    cover_union_maxima,
+    m3,
+    n5,
     random_ext_vec,
     random_rep,
     scan_hc8_witness,
@@ -407,20 +412,81 @@ def test_hc7_shifts_each_sublevel_once_per_unit_vector(monkeypatch):
 
 
 def test_hc8_minimises_only_unions_over_several_covers(monkeypatch):
-    # With the sublevels built, the union over a single lower cover is that
-    # cover's sublevel as it is and the empty union below the bottom is the
-    # empty set; only unions over two or more covers are minimised.
+    # With the level table built, the maxima outside the union over a single
+    # lower cover are that cover's own as the table holds them, and below the
+    # bottom the all-INF vector; only a union over k >= 2 covers takes the
+    # maximal pairwise meets, k - 1 folds.  Nothing is minimised and no
+    # maxima outside an upset are computed.
     rng = random.Random(18)
     reps = [example("B")[1], example("B7")[1], fixture_rep("fails_hc8")]
     reps += [random_rep(rng, bool4(), 4, max_coord=3, max_points=5) for _ in range(5)]
     for rep in reps:
         rep.complete()
         witness = _hc8_witness(Rep(rep.lattice, rep.dim, rep.points))
-        calls = count_calls(monkeypatch, upset, "min_elements")
+        folds = count_calls(monkeypatch, hc, "max_elements")
+        minima = count_calls(monkeypatch, upset, "min_elements")
+        maxima = count_calls(monkeypatch, UpSet, "complement_maxima")
         assert _hc8_witness(rep) == witness
         lat = rep.lattice
-        assert len(calls) == sum(len(lat.lower_covers(j)) > 1 for j in range(lat.m))
+        assert len(folds) == sum(max(0, len(lat.lower_covers(j)) - 1) for j in range(lat.m))
+        assert minima == maxima == []
         monkeypatch.undo()
+
+
+def test_hc8_reads_its_maxima_from_the_level_table(monkeypatch):
+    # Once complete() has built the level table, hc8 builds no UpSet and
+    # computes no maxima outside one: not below the bottom of B, where the
+    # union of no sublevels excludes nothing, nor on the meet sequence
+    # e_j -> j of divisor_lattice(30), whose top has three lower covers.
+    div = divisor_lattice(30)
+    reps = [example("B")[1], Rep(div, div.m, [(unit(div.m, j), j) for j in range(div.m)])]
+    for rep in reps:
+        rep.complete()
+        built = count_calls(monkeypatch, UpSet, "_from_antichain")
+        checked = count_calls(monkeypatch, UpSet, "__post_init__")
+        maxima = count_calls(monkeypatch, UpSet, "complement_maxima")
+        assert _hc8_witness(rep) is None
+        assert built == checked == maxima == []
+        monkeypatch.undo()
+
+
+def test_hc8_matches_the_scans_on_lattices_with_several_lower_covers():
+    # On lattices where some element has two or three lower covers, the
+    # maxima hc8 folds from the level table are those outside the union of
+    # the covers' sublevels built as one upset, its witness is the unpruned
+    # scan's, and it fails exactly where the box scan finds a counterexample.
+    # Running hc8 first leaves the table as complete() on a fresh rep has it.
+    # Each rep has one to four points, each with one or two arguments that
+    # occur once or twice; half also send each unit vector e_j to j, which
+    # gives the covers' sublevels maxima whose meets are new.
+    rng = random.Random(28)
+    lattices = [m3(), n5(), bool4(), divisor_lattice(12), divisor_lattice(30)]
+    passing = failing = folded = 0
+    while passing < 100:
+        lat = lattices[passing % len(lattices)]
+        points = [(unit(lat.m, j), j) for j in range(lat.m)] if rng.random() < 0.5 else []
+        for _ in range(rng.randrange(1, 5)):
+            vec = [0] * lat.m
+            for _ in range(rng.randrange(1, 3)):
+                vec[rng.randrange(lat.m)] += rng.randrange(1, 3)
+            points.append((vec, rng.randrange(lat.m)))
+        rep = Rep(lat, lat.m, points)
+        if not check_hc2(rep):
+            continue
+        passing += 1
+        report = admissibility_report(rep)
+        w = report["hc8"]["witness"]
+        assert w == scan_hc8_witness(Rep(lat, lat.m, rep.points))
+        assert report["hc8"]["holds"] == (brute_hc8(rep) is None)
+        failing += w is not None
+        critical, _ = rep._level_table()
+        for j in range(lat.m):
+            outside = [set(critical[c][1]) for c in lat.lower_covers(j)]
+            table = reduce(hc._meets, outside) if outside else {(INF,) * lat.m}
+            assert set(table) == cover_union_maxima(rep, j)
+            folded += len(outside) > 1 and table not in outside
+        assert rep.complete() == Rep(lat, lat.m, rep.points).complete()
+    assert failing >= 5 and folded >= 100, (failing, folded)
 
 
 def test_hc7_matches_box_comparison():

@@ -359,6 +359,14 @@ def brute_hc8(rep: Rep):
     return None
 
 
+def cover_union_maxima(rep: Rep, j: int) -> set:
+    """The maximal vectors outside the union of the sublevels of the lower
+    covers of element j, from that union built as one upset."""
+    covers = rep.lattice.lower_covers(j)
+    below = UpSet.from_points(rep.dim, (g for c in covers for g in rep.sublevel(c).gens))
+    return set(below.complement_maxima())
+
+
 def scan_hc8_witness(rep: Rep):
     """The first hc8 counterexample from the candidate scan with nothing
     pruned (the scan that ``_hc8_witness`` prunes by antitony): every
@@ -366,11 +374,7 @@ def scan_hc8_witness(rep: Rep):
     outside the union of the sublevels of some element's lower covers, is
     evaluated and nested back in, the top-valued points included."""
     lat = rep.lattice
-    tops = set()
-    for j in range(lat.m):
-        covers = lat.lower_covers(j)
-        below = UpSet.from_points(rep.dim, (g for c in covers for g in rep.sublevel(c).gens))
-        tops |= below.complement_maxima()
+    tops = set().union(*(cover_union_maxima(rep, j) for j in range(lat.m)))
     for a, alpha in rep.canonical().points:
         for b in sorted({vinf(a, p) for p in tops}):
             j = rep.eval(b)
