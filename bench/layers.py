@@ -1,7 +1,7 @@
 """Per-layer timings of commrep's antichain primitives, of
 ``Rep.canonical``, ``Rep.complete`` and ``check_complete``, of the hc7 and
-hc8 deciders, of ``reduced_equalities`` and of ``learn``, with scaling
-slopes.
+hc8 deciders, of ``reduced_equalities``, of ``learn`` and of the JSON
+documents (``commrep.io``), with scaling slopes.
 
 Times ``min_elements``, ``max_elements``, ``UpSet.complement_maxima``,
 ``Rep.canonical``, ``Rep.complete`` and ``check_complete`` on two families
@@ -68,6 +68,22 @@ those rounds, so the slope is in rounds.  The first, checking call fills
 the target's memo of values, so the samples time ``learn``'s own rounds
 with the oracle answering from that memo.
 
+The io layer times three document paths:
+
+- ``rep_from_doc`` followed by ``rep_to_doc`` on the rep valuing each
+  hyperplane or matching generator 0, read from its document with the
+  points shuffled and the lattice supplied, so that no lattice is built;
+  the output's points must be the rep's, sorted;
+- ``extrep_to_doc`` of that rep's ``complete()``, whose matching maxima
+  hold INF;
+- ``equalities_to_doc`` of ``to_equalities`` and ``to_extended_equalities``
+  of ``Bk`` (``B`` plus ``(0,0,k) -> 0``) for k = 10 to 10^4, whose
+  equality at ``(0,0,k)`` spells out k arguments.  Its points in are the
+  arguments spelled out.
+
+Each of them is also read back, and must give the object it was written
+from.
+
 Every output is checked against its closed form.  Each case reports the
 best time per call over three samples and every sample's time per call,
 and each family the least-squares slope of log time against log points
@@ -96,10 +112,14 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from commrep import (  # noqa: E402
-    INF, Rep, UpSet, chain, check_complete, divisor_lattice, learn, oracle_from_rep,
-    reduced_equalities, unit,
+    INF, Rep, UpSet, chain, check_complete, divisor_lattice, example, learn, oracle_from_rep,
+    reduced_equalities, to_equalities, to_extended_equalities, unit,
 )
 from commrep.hc import _hc7_witness, _hc8_witness  # noqa: E402
+from commrep.io import (  # noqa: E402
+    equalities_from_doc, equalities_to_doc, extrep_from_doc, extrep_to_doc, rep_from_doc,
+    rep_to_doc,
+)
 from commrep.upset import max_elements, min_elements  # noqa: E402
 
 # The hyperplane sums per dimension, chosen so that each family spans
@@ -117,6 +137,7 @@ CHAIN_SIZES = (8, 16, 32, 64)
 DIVISOR_LATTICES = (6, 30, 60, 210)
 DISTINCT_SIZES = (1000, 2000, 4000, 8000)
 LEARN_SUMS = {2: (20, 40, 80, 160), 3: (6, 10, 14, 20)}
+BK_COLLAPSES = (10, 100, 1000, 10_000)
 CHAIN_2 = chain(2)
 
 # A sample repeats the call until it has run this long, in seconds.
@@ -201,6 +222,42 @@ def learn_case(d: int, s: int):
     return lambda: learn(oracle).points == target.points, len(history) + 1
 
 
+def _json(doc: dict) -> dict:
+    """doc as a JSON reader gets it."""
+    return json.loads(json.dumps(doc))
+
+
+def io_cases(d: int, gens):
+    """``rep_from_doc`` then ``rep_to_doc`` on a rep valuing gens 0, and
+    ``extrep_to_doc`` of its ``complete()``: (call, expected output) each."""
+    rep = Rep._from_checked(CHAIN_2, d, tuple((g, 0) for g in gens))
+    doc = _json(rep_to_doc(rep))
+    del doc["lattice"]
+    random.Random(29).shuffle(doc["points"])
+    if rep_from_doc(doc, CHAIN_2) != rep:
+        raise AssertionError(f"rep document of {len(gens)} points does not read back")
+    ext = rep.complete()
+    if extrep_from_doc(_json(extrep_to_doc(ext))) != ext:
+        raise AssertionError(f"complete() of {len(gens)} points does not read back")
+    expected = [{"vec": list(g), "value": "0"} for g in sorted(gens)]
+    return (
+        (lambda: rep_to_doc(rep_from_doc(doc, CHAIN_2))["points"], expected),
+        (lambda: extrep_to_doc(ext)["points"], Size(len(ext.points))),
+    )
+
+
+def equalities_case(k: int):
+    """``equalities_to_doc`` of the canonical and extended equalities of Bk,
+    the arguments it spells out, and the number of equalities."""
+    lat, b = example("B")
+    rep = Rep(lat, 3, b.points + (((0, 0, k), 0),))
+    eqs = to_equalities(rep) + to_extended_equalities(rep)
+    if set(equalities_from_doc(_json(equalities_to_doc(lat, eqs)))[1]) != set(eqs):
+        raise AssertionError(f"the equalities of B{k} do not read back")
+    spelled = sum(c for e in eqs for c in e.vec if c != INF)
+    return lambda: equalities_to_doc(lat, eqs)["equalities"], spelled, Size(len(eqs))
+
+
 def cases(sizes: int):
     """(layer, family, size label, call, points in, expected output)."""
     for d, sums in HYPERPLANE_SUMS.items():
@@ -218,6 +275,9 @@ def cases(sizes: int):
             yield "complete", family, f"s={s}", call, len(pts), points
             call, n = check_complete_case(d, pts)
             yield "check_complete", family, f"s={s}", call, n, True
+            (call, points), (dump, n_out) = io_cases(d, pts)
+            yield "rep_from_doc+rep_to_doc", family, f"s={s}", call, len(pts), points
+            yield "extrep_to_doc", family, f"s={s}", dump, n_out, n_out
     for k in MATCHING_PAIRS[:sizes]:
         family = "matching"
         maxima = matching_maxima(k)
@@ -231,6 +291,9 @@ def cases(sizes: int):
         yield "complete", family, f"k={k}", call, k, points
         call, n = check_complete_case(2 * k, matching(k).gens)
         yield "check_complete", family, f"k={k}", call, n, True
+        (call, points), (dump, n_out) = io_cases(2 * k, matching(k).gens)
+        yield "rep_from_doc+rep_to_doc", family, f"k={k}", call, k, points
+        yield "extrep_to_doc", family, f"k={k}", dump, n_out, n_out
     for family, x_first in (("distinct x first", True), ("distinct x last", False)):
         for n in DISTINCT_SIZES[:sizes]:
             up = distinct(n, x_first)
@@ -246,6 +309,9 @@ def cases(sizes: int):
         for n in DIVISOR_LATTICES[:sizes]:
             lattice = divisor_lattice(n)
             yield layer, "divisors", f"n={n}", meet_case(decide, lattice), lattice.m, expected
+    for k in BK_COLLAPSES[:sizes]:
+        call, spelled, n_out = equalities_case(k)
+        yield "equalities_to_doc", "Bk", f"k={k}", call, spelled, n_out
     for d, sums in LEARN_SUMS.items():
         for s in sums[:sizes]:
             call, rounds = learn_case(d, s)

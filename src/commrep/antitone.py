@@ -21,6 +21,7 @@ and the pointwise comparisons and combinations used elsewhere.
 from __future__ import annotations
 
 from functools import reduce
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .lattice import Lattice
@@ -50,7 +51,31 @@ __all__ = [
 class _PointSet:
     """What :class:`Rep` and :class:`ExtRep` share: sorted (vector, element)
     points over a lattice and a dimension.  Equality requires the same
-    class, so a representation never equals an extended point set."""
+    class, so a representation never equals an extended point set.  The
+    two differ in the coordinates they accept (``_coerce``) and in what a
+    repeated vector means (``_meets_repeats``)."""
+
+    def __init__(self, lattice: Lattice, dim: int, points: Iterable = ()):
+        _check_dim(dim)
+        pairs = ((self._coerce(vec, dim), lattice.resolve(val)) for vec, val in points)
+        self._setup(lattice, dim, self._distinct(lattice, pairs))
+
+    @classmethod
+    def _distinct(cls, lattice: Lattice, pairs: Iterable[tuple[Vec, int]]) -> list:
+        # The points of checked (vector, element index) pairs, sorted, one
+        # per vector.  A repeated vector takes the meet of its values where
+        # repeats meet, and is otherwise an error at the first value that
+        # differs; pairs are consumed in order, so that error comes before
+        # any error a later pair would raise.  The vectors are distinct, so
+        # sorting on them alone gives the pairs' order with cheaper compares.
+        out: dict[Vec, int] = {}
+        for vec, e in pairs:
+            old = out.setdefault(vec, e)
+            if old != e:
+                if not cls._meets_repeats:
+                    raise ValueError(f"conflicting values at {vec}")
+                out[vec] = lattice.meet(old, e)
+        return sorted(out.items(), key=itemgetter(0))
 
     @classmethod
     def _from_checked(cls, lattice: Lattice, dim: int, points: Sequence):
@@ -107,14 +132,8 @@ class Rep(_PointSet):
     the maxima outside the sublevels are kept.
     """
 
-    def __init__(self, lattice: Lattice, dim: int, points: Iterable = ()):
-        _check_dim(dim)
-        merged: dict[Vec, int] = {}
-        for vec, val in points:
-            v = as_nat_vec(vec, dim)
-            e = lattice.resolve(val)
-            merged[v] = lattice.meet(merged[v], e) if v in merged else e
-        self._setup(lattice, dim, sorted(merged.items()))
+    _coerce = staticmethod(as_nat_vec)
+    _meets_repeats = True
 
     def _setup(self, lattice: Lattice, dim: int, points: Sequence) -> None:
         # the one place that sets a Rep's attributes, its caches empty
@@ -341,16 +360,8 @@ class ExtRep(_PointSet):
     function could pass through them.
     """
 
-    def __init__(self, lattice: Lattice, dim: int, points: Iterable = ()):
-        _check_dim(dim)
-        seen: dict[Vec, int] = {}
-        for vec, val in points:
-            v = as_ext_vec(vec, dim)
-            e = lattice.resolve(val)
-            if v in seen and seen[v] != e:
-                raise ValueError(f"conflicting values at {v}")
-            seen[v] = e
-        self._setup(lattice, dim, sorted(seen.items()))
+    _coerce = staticmethod(as_ext_vec)
+    _meets_repeats = False
 
 
 def check_complete(rep: Rep, ext: ExtRep) -> bool:

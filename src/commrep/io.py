@@ -4,17 +4,25 @@ Coordinates serialize as nonnegative integers, with the string ``"inf"``
 for the unbounded coordinate.  Lattice elements serialize as their names.
 All readers raise :class:`ParseError` on malformed documents, leaving
 domain validation (lattice axioms, dimension checks) to the constructors.
+
+A point document is read in one pass that checks each coordinate once: a
+vector of nonnegative ints, the usual case, by one scan; any other vector
+through :func:`vec_from_json` and the constructor's coercion, which name
+its fault.  A :class:`ParseError` in any point comes before the error of
+a dimension below 1, and that before the points' own ValueErrors (a
+negative or, in a representation, ``"inf"`` coordinate, a wrong length,
+an unknown element, conflicting values), which come in point order.  The
+writers emit the constructors' checked points as they are.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Any
 
 from .antitone import ExtRep, Rep
 from .commutator import args_from_vector, make_equality
 from .lattice import Lattice
-from .vectors import INF
+from .vectors import INF, _check_dim
 
 __all__ = [
     "ParseError",
@@ -37,7 +45,18 @@ class ParseError(ValueError):
 
 
 def vec_to_json(vec) -> list:
-    return ["inf" if isinstance(c, float) and math.isinf(c) else int(c) for c in vec]
+    """The JSON form of a vector; a coordinate that :func:`vec_from_json`
+    would not read back as itself (not a nonnegative int or INF) is a
+    ValueError."""
+    out = []
+    for c in vec:
+        if c == INF:
+            out.append("inf")
+        elif isinstance(c, int) and not isinstance(c, bool) and c >= 0:
+            out.append(int(c))
+        else:
+            raise ValueError(f"cannot write coordinate {c!r} to JSON")
+    return out
 
 
 def vec_from_json(data) -> tuple:
@@ -87,12 +106,17 @@ def _doc_lattice(doc: dict, lattice: Lattice | None) -> Lattice:
 
 
 def _points_to_doc(ps: Rep | ExtRep) -> dict:
-    lat = ps.lattice
+    # the points are checked: nonnegative ints, and INF in an ExtRep
+    names = ps.lattice.names
     return {
         "dimension": ps.dim,
-        "lattice": lattice_to_doc(lat),
+        "lattice": lattice_to_doc(ps.lattice),
         "points": [
-            {"vec": vec_to_json(vec), "value": lat.name(val)} for vec, val in ps.points
+            {
+                "vec": list(vec) if INF not in vec else ["inf" if c == INF else c for c in vec],
+                "value": names[e],
+            }
+            for vec, e in ps.points
         ],
     }
 
@@ -107,12 +131,37 @@ def _points_from_doc(cls, doc: Any, lattice: Lattice | None):
     data = doc["points"]
     if not isinstance(data, list):
         raise ParseError("'points' must be a list")
-    points = []
+    # The first ValueError is kept while the remaining points are still
+    # read for ParseErrors, which come first; the pairs checked before it
+    # still meet the duplicate rule, whose error comes earlier in order.
+    fault = None
+    try:
+        _check_dim(dim)
+    except ValueError as exc:
+        fault = exc
+    pairs = []
     for item in data:
         if not isinstance(item, dict) or "vec" not in item or "value" not in item:
             raise ParseError("each point needs 'vec' and 'value'")
-        points.append((vec_from_json(item["vec"]), item["value"]))
-    return cls(lat, dim, points)
+        vec = item["vec"]
+        plain = type(vec) is list  # of nonnegative ints only, as found below
+        if plain:
+            for c in vec:
+                if type(c) is not int or c < 0:
+                    plain = False
+                    break
+        vec = tuple(vec) if plain else vec_from_json(vec)
+        if fault is None:
+            try:
+                if not plain or len(vec) != dim:
+                    vec = cls._coerce(vec, dim)
+                pairs.append((vec, lat.resolve(item["value"])))
+            except ValueError as exc:
+                fault = exc
+    points = cls._distinct(lat, pairs)
+    if fault is not None:
+        raise fault
+    return cls._from_checked(lat, dim, points)
 
 
 # One function object per public name, so that wrapping one name by
@@ -138,15 +187,15 @@ def upset_to_doc(upset) -> dict:
 
 
 def equalities_to_doc(lat: Lattice, eqs) -> dict:
+    names = lat.names
     items = []
     for e in eqs:
         item: dict = {
-            "args": [lat.name(a) for a in args_from_vector(lat, e.vec)],
-            "rhs": lat.name(e.rhs),
+            "args": [names[a] for a in args_from_vector(lat, e.vec)],
+            "rhs": names[e.rhs],
         }
-        unbounded = sorted(lat.name(j) for j, c in enumerate(e.vec) if c == INF)
-        if unbounded:
-            item = {"S": unbounded, **item}
+        if INF in e.vec:
+            item = {"S": sorted(names[j] for j, c in enumerate(e.vec) if c == INF), **item}
         items.append(item)
     return {"lattice": lattice_to_doc(lat), "equalities": items}
 

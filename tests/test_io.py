@@ -1,8 +1,10 @@
+import copy
 import json
+import random
 
 import pytest
 
-from commrep import INF, ExtRep
+from commrep import INF, CommEquality, ExtRep, Rep
 from commrep.commutator import make_equality, to_equalities
 from commrep.io import (
     ParseError,
@@ -17,6 +19,13 @@ from commrep.io import (
     vec_from_json,
     vec_to_json,
 )
+from util import (
+    lattice_catalog,
+    ref_equalities_to_doc,
+    ref_point_set,
+    ref_points_from_doc,
+    ref_points_to_doc,
+)
 
 
 def test_vec_json_round_trip():
@@ -24,6 +33,14 @@ def test_vec_json_round_trip():
     data = vec_to_json(vec)
     assert data == [3, "inf", 0]
     assert vec_from_json(data) == vec
+
+
+def test_vec_to_json_writes_only_what_vec_from_json_reads_back():
+    for vec in ((), (0, 2**60 + 3, INF), (INF,)):
+        assert vec_from_json(json.loads(json.dumps(vec_to_json(vec)))) == vec
+    for bad in (2.5, -INF, True, False, -1, 1.0, "inf", None):
+        with pytest.raises(ValueError, match="^cannot write coordinate"):
+            vec_to_json((2, bad, 3))
 
 
 def test_vec_json_rejects_garbage():
@@ -129,3 +146,172 @@ def test_equalities_doc_errors(chain3):
     ):
         with pytest.raises(ParseError, match="must be a list"):
             equalities_from_doc(doc, chain3)
+
+
+# -- the one-pass reader and the writers against the two-pass code they
+# replace (tests/util.py): equal objects and bytes on valid documents, the
+# same exception type and message, in the same precedence, on malformed ones.
+
+READERS = {Rep: rep_from_doc, ExtRep: extrep_from_doc}
+WRITERS = {Rep: rep_to_doc, ExtRep: extrep_to_doc}
+LATTICES = lattice_catalog()
+
+
+def _random_doc(rng, cls):
+    """A valid point document and the lattice to read it with."""
+    lat = rng.choice(LATTICES)
+    dim = rng.randrange(1, 5)
+    points = []
+    for _ in range(rng.randrange(9)):
+        if points and rng.random() < 0.25:
+            vec = list(rng.choice(points)["vec"])  # a duplicate vector
+        else:
+            vec = [rng.randrange(5) for _ in range(dim)]
+            for i in range(0, dim, 3):
+                if rng.random() < 0.5:
+                    vec[i] += 2**60
+            if cls is ExtRep and rng.random() < 0.4:
+                vec[rng.randrange(dim)] = "inf"
+        points.append({"vec": vec, "value": rng.randrange(lat.m)})
+    if cls is ExtRep:  # a repeated vector keeps one element, by name or index
+        first = {}
+        for p in points:
+            p["value"] = first.setdefault(json.dumps(p["vec"]), p["value"])
+    for p in points:
+        if rng.random() < 0.5:
+            p["value"] = lat.names[p["value"]]
+    doc = {"dimension": dim, "points": points}
+    if rng.random() < 0.5:
+        doc["lattice"] = lattice_to_doc(lat)
+    return doc, lat
+
+
+def _outcome(read, doc, lat):
+    """What reading doc gives: the object and its output bytes, or the
+    exception's type and message."""
+    try:
+        ps = read(doc, lat)
+    except ValueError as exc:  # ParseError included
+        return type(exc), str(exc)
+    return ps, json.dumps(WRITERS[type(ps)](ps))
+
+
+def _ref_outcome(cls, doc, lat):
+    try:
+        ps = ref_points_from_doc(cls, doc, lat)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return ps, json.dumps(ref_points_to_doc(ps))
+
+
+@pytest.mark.parametrize("cls", [Rep, ExtRep])
+def test_point_documents_read_and_write_as_the_reference_does(cls):
+    rng = random.Random(29)
+    repeats = 0
+    for _ in range(300):
+        doc, lat = _random_doc(rng, cls)
+        got = _outcome(READERS[cls], copy.deepcopy(doc), lat)
+        assert got == _ref_outcome(cls, doc, lat)
+        assert isinstance(got[0], cls)
+        repeats += len(got[0].points) < len(doc["points"])
+    assert repeats > 30
+
+
+def _inject(rng, doc, lat, fault):
+    """Put one fault into doc (in place); two calls may hit one point."""
+    points = doc["points"]
+    if fault == "dimension 0":
+        doc["dimension"] = rng.choice((0, -1))
+        return
+    if not points:
+        points.append({"vec": [0] * max(doc["dimension"], 1), "value": 0})
+    i = rng.randrange(len(points))
+    item = points[i]
+    if fault == "non-dict item":
+        points[i] = rng.choice(([0, 1], "p", None, {"vec": [0]}, {"value": 0}))
+        return
+    if not isinstance(item, dict) or not isinstance(item.get("vec"), list):
+        return  # already broken at this point
+    vec = item["vec"]
+    if fault == "non-list vector":
+        item["vec"] = rng.choice(("0,1", 3, {"0": 1}, None))
+    elif fault == "unknown element":
+        item["value"] = rng.choice(("nope", lat.m + 2, -1, [0], 1.0, True))
+    elif fault == "wrong length":
+        if vec and rng.random() < 0.5:
+            vec.pop()
+        else:
+            vec.append(1)
+    elif fault == "conflict":
+        try:
+            other = (lat.resolve(item["value"]) + 1) % lat.m
+        except ValueError:
+            return
+        points.insert(rng.randrange(len(points) + 1), {"vec": list(vec), "value": other})
+    elif vec:
+        j = rng.randrange(len(vec))
+        vec[j] = {
+            "bool": rng.choice((True, False)),
+            "float": rng.choice((1.5, 2.0, float("inf"))),
+            "negative": -rng.randrange(1, 2**61),
+            "inf in a rep": "inf",
+        }[fault]
+
+
+FAULTS = (
+    "bool", "float", "negative", "inf in a rep", "wrong length", "non-dict item",
+    "non-list vector", "unknown element", "conflict", "dimension 0",
+)
+
+
+@pytest.mark.parametrize("cls", [Rep, ExtRep])
+def test_malformed_point_documents_raise_as_the_reference_does(cls):
+    rng = random.Random(2900 + (cls is ExtRep))
+    kinds = set()
+    for _ in range(800):
+        doc, lat = _random_doc(rng, cls)
+        for fault in rng.sample(FAULTS, rng.choice((1, 2))):
+            _inject(rng, doc, lat, fault)
+        got = _outcome(READERS[cls], copy.deepcopy(doc), lat)
+        assert got == _ref_outcome(cls, doc, lat)
+        if isinstance(got[0], type):
+            kinds.add(got[0].__name__ + ": " + got[1].split(" ")[0])
+    assert {"ParseError: each", "ParseError: vector", "ParseError: bad", "ValueError: dimension",
+            "ValueError: expected", "ValueError: cannot", "ValueError: unknown",
+            "ValueError: element"} <= kinds
+    if cls is ExtRep:
+        assert "ValueError: conflicting" in kinds
+    else:
+        assert {"ValueError: coordinates", "ValueError: bad"} <= kinds
+
+
+@pytest.mark.parametrize("cls", [Rep, ExtRep])
+def test_constructors_raise_as_the_reference_does(cls):
+    rng = random.Random(2950 + (cls is ExtRep))
+    for _ in range(300):
+        doc, lat = _random_doc(rng, cls)
+        for fault in rng.sample(FAULTS[2:5] + FAULTS[7:], rng.choice((0, 1, 2))):
+            _inject(rng, doc, lat, fault)
+        points = [(tuple(INF if c == "inf" else c for c in p["vec"]), p["value"])
+                  for p in doc["points"]]
+        outcomes = []
+        for build in (cls, lambda *a: ref_point_set(cls, *a)):
+            try:
+                outcomes.append(build(lat, doc["dimension"], iter(points)))
+            except ValueError as exc:
+                outcomes.append((type(exc), str(exc)))
+        assert outcomes[0] == outcomes[1]
+
+
+def test_equality_documents_write_as_the_reference_does():
+    rng = random.Random(2990)
+    for _ in range(200):
+        lat = rng.choice(LATTICES)
+        eqs = [
+            CommEquality(
+                tuple(INF if rng.random() < 0.2 else rng.randrange(4) for _ in range(lat.m)),
+                rng.randrange(lat.m),
+            )
+            for _ in range(rng.randrange(6))
+        ]
+        assert json.dumps(equalities_to_doc(lat, eqs)) == json.dumps(ref_equalities_to_doc(lat, eqs))

@@ -19,7 +19,21 @@ from commrep import (
     equal_fn,
     to_equalities,
 )
-from commrep.vectors import residual, unit, vadd, vinf, vleq, vsub, vsup, zero
+from commrep.commutator import args_from_vector
+from commrep.io import ParseError, _doc_lattice, lattice_to_doc
+from commrep.vectors import (
+    _check_dim,
+    as_ext_vec,
+    as_nat_vec,
+    residual,
+    unit,
+    vadd,
+    vinf,
+    vleq,
+    vsub,
+    vsup,
+    zero,
+)
 
 
 def bool4() -> Lattice:
@@ -485,3 +499,83 @@ def brute_reaches(lattice: Lattice, b, x) -> bool:
             if sum(b[i] for i in down) > sum(x[i] for i in down):
                 return False
     return True
+
+
+# -- the point and equality documents as the two-pass code read and wrote them:
+# the reference for commrep.io's one-pass reader and its writers.
+
+
+def ref_vec_to_json(vec) -> list:
+    return ["inf" if isinstance(c, float) and math.isinf(c) else int(c) for c in vec]
+
+
+def ref_vec_from_json(data) -> tuple:
+    if not isinstance(data, list):
+        raise ParseError(f"vector must be a list, got {type(data).__name__}")
+    out = []
+    for c in data:
+        if c == "inf":
+            out.append(INF)
+        elif isinstance(c, int) and not isinstance(c, bool):
+            out.append(c)
+        else:
+            raise ParseError(f"bad coordinate {c!r} (expected int or 'inf')")
+    return tuple(out)
+
+
+def ref_point_set(cls, lattice: Lattice, dim, points):
+    """The Rep or ExtRep constructor: every pair coerced, then merged."""
+    _check_dim(dim)
+    merged: dict = {}
+    for vec, val in points:
+        v = (as_ext_vec if cls is ExtRep else as_nat_vec)(vec, dim)
+        e = lattice.resolve(val)
+        if v in merged and merged[v] != e:
+            if cls is ExtRep:
+                raise ValueError(f"conflicting values at {v}")
+            e = lattice.meet(merged[v], e)
+        merged[v] = e
+    return cls._from_checked(lattice, dim, sorted(merged.items()))
+
+
+def ref_points_to_doc(ps) -> dict:
+    lat = ps.lattice
+    return {
+        "dimension": ps.dim,
+        "lattice": lattice_to_doc(lat),
+        "points": [
+            {"vec": ref_vec_to_json(vec), "value": lat.name(val)} for vec, val in ps.points
+        ],
+    }
+
+
+def ref_points_from_doc(cls, doc, lattice: Lattice | None):
+    if not isinstance(doc, dict) or "dimension" not in doc or "points" not in doc:
+        raise ParseError("point set document needs 'dimension' and 'points'")
+    dim = doc["dimension"]
+    if not isinstance(dim, int) or isinstance(dim, bool):
+        raise ParseError(f"'dimension' must be an integer, got {dim!r}")
+    lat = _doc_lattice(doc, lattice)
+    data = doc["points"]
+    if not isinstance(data, list):
+        raise ParseError("'points' must be a list")
+    points = []
+    for item in data:
+        if not isinstance(item, dict) or "vec" not in item or "value" not in item:
+            raise ParseError("each point needs 'vec' and 'value'")
+        points.append((ref_vec_from_json(item["vec"]), item["value"]))
+    return ref_point_set(cls, lat, dim, points)
+
+
+def ref_equalities_to_doc(lat: Lattice, eqs) -> dict:
+    items = []
+    for e in eqs:
+        item: dict = {
+            "args": [lat.name(a) for a in args_from_vector(lat, e.vec)],
+            "rhs": lat.name(e.rhs),
+        }
+        unbounded = sorted(lat.name(j) for j, c in enumerate(e.vec) if c == INF)
+        if unbounded:
+            item = {"S": unbounded, **item}
+        items.append(item)
+    return {"lattice": lattice_to_doc(lat), "equalities": items}
