@@ -207,7 +207,7 @@ def check_complete_case(d: int, gens):
 def meet_case(decide, lattice):
     """decide on the meet sequence e_j -> j of a distributive lattice."""
     m = lattice.m
-    rep = Rep._from_checked(lattice, m, tuple(sorted((unit(m, j), j) for j in range(m))))
+    rep = Rep._from_checked(lattice, m, ((unit(m, j), j) for j in range(m)))
     return lambda: decide(rep)
 
 

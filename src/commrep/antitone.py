@@ -20,7 +20,6 @@ and the pointwise comparisons and combinations used elsewhere.
 
 from __future__ import annotations
 
-from functools import reduce
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -33,7 +32,6 @@ from .vectors import (
     as_ext_vec,
     as_nat_vec,
     residual,
-    vsup,
     zero,
 )
 
@@ -49,11 +47,11 @@ __all__ = [
 
 
 class _PointSet:
-    """What :class:`Rep` and :class:`ExtRep` share: sorted (vector, element)
-    points over a lattice and a dimension.  Equality requires the same
-    class, so a representation never equals an extended point set.  The
-    two differ in the coordinates they accept (``_coerce``) and in what a
-    repeated vector means (``_meets_repeats``)."""
+    """What :class:`Rep` and :class:`ExtRep` share: (vector, element)
+    points, sorted by vector, over a lattice and a dimension.  Equality
+    requires the same class, so a representation never equals an extended
+    point set.  The two differ in the coordinates they accept (``_coerce``)
+    and in what a repeated vector means (``_meets_repeats``)."""
 
     def __init__(self, lattice: Lattice, dim: int, points: Iterable = ()):
         _check_dim(dim)
@@ -61,13 +59,12 @@ class _PointSet:
         self._setup(lattice, dim, self._distinct(lattice, pairs))
 
     @classmethod
-    def _distinct(cls, lattice: Lattice, pairs: Iterable[tuple[Vec, int]]) -> list:
-        # The points of checked (vector, element index) pairs, sorted, one
-        # per vector.  A repeated vector takes the meet of its values where
-        # repeats meet, and is otherwise an error at the first value that
-        # differs; pairs are consumed in order, so that error comes before
-        # any error a later pair would raise.  The vectors are distinct, so
-        # sorting on them alone gives the pairs' order with cheaper compares.
+    def _distinct(cls, lattice: Lattice, pairs: Iterable[tuple[Vec, int]]) -> Iterable:
+        # The points of checked (vector, element index) pairs, one per
+        # vector, in no particular order.  A repeated vector takes the meet
+        # of its values where repeats meet, and is otherwise an error at the
+        # first value that differs; pairs are consumed in order, so that
+        # error comes before any error a later pair would raise.
         out: dict[Vec, int] = {}
         for vec, e in pairs:
             old = out.setdefault(vec, e)
@@ -75,20 +72,23 @@ class _PointSet:
                 if not cls._meets_repeats:
                     raise ValueError(f"conflicting values at {vec}")
                 out[vec] = lattice.meet(old, e)
-        return sorted(out.items(), key=itemgetter(0))
+        return out.items()
 
     @classmethod
-    def _from_checked(cls, lattice: Lattice, dim: int, points: Sequence):
-        # points must be sorted (vector, element index) pairs with distinct,
-        # already checked vectors of dimension dim, finite for a Rep.
+    def _from_checked(cls, lattice: Lattice, dim: int, points: Iterable):
+        # points must be (vector, element index) pairs, in any order, with
+        # distinct, already checked vectors of dimension dim, finite for a Rep.
         self = object.__new__(cls)
         self._setup(lattice, dim, points)
         return self
 
-    def _setup(self, lattice: Lattice, dim: int, points: Sequence) -> None:
+    def _setup(self, lattice: Lattice, dim: int, points: Iterable) -> None:
+        # The one place a point set is ordered.  The vectors are distinct,
+        # so sorting on them alone gives the pairs' order with cheaper
+        # compares.
         self.lattice = lattice
         self.dim = dim
-        self.points: tuple[tuple[Vec, int], ...] = tuple(points)
+        self.points: tuple[tuple[Vec, int], ...] = tuple(sorted(points, key=itemgetter(0)))
 
     def _compatible(self, other) -> None:
         if self.lattice != other.lattice:
@@ -135,7 +135,7 @@ class Rep(_PointSet):
     _coerce = staticmethod(as_nat_vec)
     _meets_repeats = True
 
-    def _setup(self, lattice: Lattice, dim: int, points: Sequence) -> None:
+    def _setup(self, lattice: Lattice, dim: int, points: Iterable) -> None:
         # the one place that sets a Rep's attributes, its caches empty
         super()._setup(lattice, dim, points)
         self._values: dict[Vec, int] = {}
@@ -186,7 +186,7 @@ class Rep(_PointSet):
         zero vector if there are none).
         """
         x = as_ext_vec(x, self.dim)
-        return reduce(vsup, self._below().vectors(x), zero(self.dim))
+        return tuple(map(max, zip(zero(self.dim), *self._below().vectors(x))))
 
     # -- level sets and derived representations ------------------------------
 
@@ -212,7 +212,7 @@ class Rep(_PointSet):
                     nv = lat.meet(mval, val)
                     if nv != mval:
                         bucket = updates.setdefault(nv, set())
-                        bucket.update(vsup(s, vec) for s in anti for vec in members)
+                        bucket.update(tuple(map(max, s, vec)) for s in anti for vec in members)
                 for nv, vecs in updates.items():
                     prof[nv] = min_elements(prof.get(nv, set()) | vecs)
             self._profile = {v: tuple(sorted(a)) for v, a in prof.items()}
@@ -326,7 +326,7 @@ class Rep(_PointSet):
             for vec in maxima:
                 if vec not in pts:
                     pts[vec] = self._value_at(vec)
-        return ExtRep._from_checked(self.lattice, self.dim, sorted(pts.items()))
+        return ExtRep._from_checked(self.lattice, self.dim, pts.items())
 
     # -- properties of the represented function ------------------------------
 
@@ -345,11 +345,8 @@ class Rep(_PointSet):
     def shifted(self, a) -> "Rep":
         """Representation of x -> eval(x + a) for finite a."""
         a = as_nat_vec(a, self.dim)
-        return Rep(
-            self.lattice,
-            self.dim,
-            [(residual(vec, a), val) for vec, val in self.points],
-        )
+        pairs = ((residual(vec, a), val) for vec, val in self.points)
+        return Rep._from_checked(self.lattice, self.dim, Rep._distinct(self.lattice, pairs))
 
 
 class ExtRep(_PointSet):
@@ -425,7 +422,7 @@ def le_pointwise(r1: Rep, r2: Rep) -> bool:
     """
     r1._compatible(r2)
     return all(
-        r1.lattice.leq(r1.eval(vec), r2.eval(vec)) for vec, _ in r2.points
+        r1.lattice.leq(r1._value_at(vec), r2._value_at(vec)) for vec, _ in r2.points
     )
 
 
@@ -450,7 +447,7 @@ def join_fn(r1: Rep, r2: Rep) -> Rep:
 def _rep_from_level_minima(
     lattice: Lattice, dim: int, levels: Sequence[UpSet]
 ) -> Rep:
-    return Rep._from_checked(lattice, dim, sorted(_level_values(lattice, levels).items()))
+    return Rep._from_checked(lattice, dim, _level_values(lattice, levels).items())
 
 
 def _level_values(lattice: Lattice, levels: Sequence[UpSet]) -> dict[Vec, int]:

@@ -106,14 +106,14 @@ def eval_commutator(rep: Rep, args) -> int:
     value at the zero vector.
     """
     _require_encoding(rep)
-    return rep.eval(encode_args(rep.lattice, args))
+    return rep._value_at(encode_args(rep.lattice, args))
 
 
 def eval_extended(rep: Rep, unbounded, args) -> int:
     """Value of an extended bracket: ``unbounded`` elements may be inserted
     arbitrarily often, so their coordinates are INF in the encoding."""
     _require_encoding(rep)
-    return rep.eval_ext(encode_args(rep.lattice, args, unbounded))
+    return rep._value_at(encode_args(rep.lattice, args, unbounded))
 
 
 def satisfies(rep: Rep, eq: CommEquality) -> bool:

@@ -33,7 +33,7 @@ from functools import reduce
 
 from .antitone import Rep
 from .upset import UpSet, max_elements
-from .vectors import INF, unit, vadd, vinf
+from .vectors import INF, unit, vadd
 
 __all__ = [
     "admissibility_report",
@@ -106,7 +106,7 @@ def _meets(P, Q) -> set:
     # The maximal vectors of the intersection of the down-sets that P and Q
     # generate: a vector lies below some p in P and some q in Q exactly
     # when it lies below their meet, so these are the maximal meets.
-    return max_elements({vinf(p, q) for p in P for q in Q})
+    return max_elements({tuple(map(min, p, q)) for p in P for q in Q})
 
 
 def _hc8_witness(rep: Rep):

@@ -137,7 +137,7 @@ def learn(
             return current
         v = next((v for v in mismatches if is_finite_vec(v)), mismatches[0])
         w = _witness(ask, v)
-        got, have = ask(w), current.eval(w)
+        got, have = ask(w), current._value_at(w)
         if got == have or not lat.leq(got, have):
             raise RoundLimitError(
                 f"oracle answer at {w} does not drop below the hypothesis; "
@@ -145,7 +145,8 @@ def learn(
             )
         if history is not None:
             history.append((w, got))
-        # w is a tuple of ints from _witness and got went through
-        # lat.resolve; w is no point of the hypothesis G yet, since then
-        # have = G(w) <= F(w) = got and the check above would have raised.
-        current = Rep._from_checked(lat, dim, sorted(current.points + ((w, got),)))
+        # w is a tuple of dim ints from _witness, so it is evaluated and
+        # added as it is, and got went through lat.resolve; w is no point of
+        # the hypothesis G yet, since then have = G(w) <= F(w) = got and the
+        # check above would have raised.
+        current = Rep._from_checked(lat, dim, current.points + ((w, got),))

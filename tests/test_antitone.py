@@ -19,15 +19,25 @@ from commrep import (
     antitone,
     chain,
     check_complete,
+    divisor_lattice,
     equal_fn,
+    eval_commutator,
+    eval_extended,
     example,
+    hc,
     join_fn,
     le_pointwise,
+    learn,
+    oracle_from_rep,
+    residual,
     step,
     to_extended_equalities,
+    unit,
     vadd,
+    vectors,
     vleq,
 )
+from commrep.hc import _hc8_witness
 
 from util import (
     box,
@@ -807,3 +817,93 @@ def test_shifted_representation(rep_g, div52):
     shifted = rep_g.shifted(a)
     for x in box(coord_bound(rep_g), 2):
         assert shifted.eval(x) == rep_g.eval(vadd(x, a))
+
+
+@pytest.mark.parametrize("cls", [Rep, ExtRep])
+def test_from_checked_orders_the_points_it_is_given(cls):
+    # _from_checked takes checked pairs with distinct vectors, in any order
+    # and any container, and stores them sorted as the public constructor
+    # does: coordinates offset by 2^60, INF in an ExtRep.
+    rng = random.Random(30)
+    catalog = lattice_catalog()
+    unsorted = 0
+    for trial in range(300):
+        lat = rng.choice(catalog)
+        d = rng.randint(1, 4)
+        n = rng.randint(0, 8)
+        vecs = set()
+        while len(vecs) < n:
+            vecs.add(tuple(
+                INF if cls is ExtRep and rng.random() < 0.25
+                else rng.randrange(13) + (2**60 if rng.random() < 0.3 else 0)
+                for _ in range(d)
+            ))
+        pairs = [(v, rng.randrange(lat.m)) for v in vecs]
+        rng.shuffle(pairs)
+        unsorted += pairs != sorted(pairs)
+        shape = trial % 4
+        given = (pairs, tuple(pairs), dict(pairs).items(), iter(pairs))[shape]
+        built = cls._from_checked(lat, d, given)
+        assert built.points == tuple(sorted(pairs))
+        public = cls(lat, d, pairs)
+        assert built == public and hash(built) == hash(public)
+    assert unsorted > 150
+
+
+def test_library_code_does_not_recheck_its_own_vectors(monkeypatch):
+    # Vectors the library built or already checked are evaluated, combined
+    # and stored as they are: only a caller's own vector, such as the shift
+    # of Rep.shifted, goes through as_nat_vec, and no library fold takes
+    # suprema or infima through the dimension-checking vsup and vinf.
+    nat = count_calls(monkeypatch, antitone, "as_nat_vec")
+    two = chain(2, ["0", "1"])
+    target = Rep(two, 2, [(x, "0") for x in hyperplane(2, 12)])
+    history = []
+    assert learn(oracle_from_rep(target), history=history) == target
+    assert history == [(x, 0) for x in hyperplane(2, 12)]
+    assert nat == []
+    rep_b = example("B")[1]
+    want = brute_eval(rep_b, (0, 1, 2)), brute_eval_ext(rep_b, (0, 1, INF))
+    # counted from here: the oracle of a rep answers through eval_ext
+    ext = count_calls(monkeypatch, antitone, "as_ext_vec")
+    nat.clear()
+    got = eval_commutator(rep_b, ["1", "alpha", "1"]), eval_extended(rep_b, ["1"], ["alpha"])
+    assert got == want and nat == ext == []
+
+    inits = count_calls(monkeypatch, Rep, "__init__")
+    rng = random.Random(31)
+    collided = 0
+    for _ in range(200):
+        lat = rng.choice(small_lattices())
+        d = rng.randint(1, 3)
+        r1, r2 = random_rep(rng, lat, d), random_rep(rng, lat, d)
+        built = len(inits)
+        assert le_pointwise(r1, r2) == all(
+            lat.leq(brute_eval(r1, x), brute_eval(r2, x)) for x in box(6, d)
+        )
+        equal_fn(r1, r2)
+        assert nat == []
+        a = tuple(rng.randrange(6) for _ in range(d))
+        shifted = r1.shifted(a)
+        assert nat == [(a, d)] and len(inits) == built
+        nat.clear()
+        residuals = [residual(v, a) for v, _ in r1.points]
+        collided += len(set(residuals)) < len(residuals)
+        assert shifted == Rep(lat, d, [(r, e) for r, (_, e) in zip(residuals, r1.points)])
+    assert collided > 20
+
+    # vsup and vinf counted both where vectors defines them and where a
+    # module binds them, if it does
+    sups = [count_calls(monkeypatch, m, "vsup") for m in (vectors, antitone) if hasattr(m, "vsup")]
+    infs = [count_calls(monkeypatch, m, "vinf") for m in (vectors, hc) if hasattr(m, "vinf")]
+    div = divisor_lattice(30)
+    meets = Rep(div, div.m, [(unit(div.m, j), j) for j in range(div.m)])
+    for rep in (example("B")[1], example("B7")[1], meets):
+        assert rep._meet_profile() == brute_meet_profile(rep)
+        assert _hc8_witness(rep) is None
+    for _ in range(100):
+        rep = random_rep(rng, rng.choice(small_lattices()), rng.randint(1, 3))
+        assert rep._meet_profile() == brute_meet_profile(rep)
+        x = random_ext_vec(rng, rep.dim)
+        assert rep.witness(x) == brute_witness(rep, x)
+    assert not any(sups) and not any(infs)
