@@ -20,6 +20,7 @@ and the pointwise comparisons and combinations used elsewhere.
 
 from __future__ import annotations
 
+from itertools import islice
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -199,16 +200,21 @@ class Rep(_PointSet):
         # step per distinct value, with all of its points at once: a subset
         # holding two points of one value has the same meet as either alone
         # and a larger supremum.  A bucket the value does not lower is
-        # skipped, since its suprema lie above its own antichain.
+        # skipped, since its suprema lie above its own antichain.  The entry
+        # at top, first in prof, is the empty subset's {zero} and never
+        # changes: only top meets top to top, and that step is skipped.  Its
+        # suprema with a group are the group's points themselves, so they go
+        # to the bucket at val as they are, unless val is top.
         if self._profile is None:
             lat = self.lattice
+            top = lat.top
             groups: dict[int, list[Vec]] = {}
             for vec, val in self.points:
                 groups.setdefault(val, []).append(vec)
-            prof: dict[int, set[Vec]] = {lat.top: {zero(self.dim)}}
+            prof: dict[int, set[Vec]] = {top: {zero(self.dim)}}
             for val, members in groups.items():
-                updates: dict[int, set[Vec]] = {}
-                for mval, anti in prof.items():
+                updates: dict[int, set[Vec]] = {} if val == top else {val: set(members)}
+                for mval, anti in islice(prof.items(), 1, None):
                     nv = lat.meet(mval, val)
                     if nv != mval:
                         bucket = updates.setdefault(nv, set())

@@ -213,7 +213,10 @@ class Lattice:
     def resolve(self, elem) -> int:
         """Accept an element given as an index or as a name."""
         if isinstance(elem, str):
-            return self.index(elem)
+            try:
+                return self._index[elem]
+            except KeyError:
+                raise ValueError(f"unknown lattice element {elem!r}") from None
         if type(elem) is int and 0 <= elem < self.m:
             return elem
         if isinstance(elem, Integral) and not isinstance(elem, bool):

@@ -327,11 +327,16 @@ class UpSet:
         the mask at g_i - 1.  q is kept at once when no maximum but p is near
         or above g, and else dropped when those masks without p's bit, ANDed
         with the maxima at or above q_j on each other coordinate j, leave a
-        bit.  Every question about one tail is asked before its maxima change.
-        Then the removed maxima leave every mask and free their bits for the
-        replacements, so the masks and the sorted values grow with the live
-        antichain only.  Coordinates are only compared, so the result is
-        exact for coordinates of any size.
+        bit.  That query skips coordinate i, where q and p differ, so it is
+        asked with p, and q is built only once it is kept.  Every question
+        about one tail is asked before its maxima change.  Then a removed
+        maximum p hands its bit to its first kept replacement, and only
+        coordinate i's masks change: the bit leaves p_i's mask and joins
+        g_i - 1's.  A removed maximum with no kept replacement leaves every
+        mask and frees its bit, and the further replacements take free bits
+        and enter every mask.  So the masks and the sorted values grow with
+        the live antichain only.  Coordinates are only compared, so the
+        result is exact for coordinates of any size.
 
         Kept apart from :class:`_Below`, whose cumulative masks give a
         fixed set O(log) queries: the changing antichain wants per-value
@@ -372,7 +377,10 @@ class UpSet:
                 if c:
                     above &= at_least(i, c)
             old = [(b, *pts.pop(b)) for b in _bits(above)]
-            new: list[Vec] = []
+            # heirs[b]: the coordinate and value of the first kept
+            # replacement of the maximum with bit b; extra: the others
+            heirs: dict[int, tuple[int, object]] = {}
+            extra: list[Vec] = []
             for i, c in enumerate(g):
                 if c == 0:
                     continue
@@ -380,21 +388,41 @@ class UpSet:
                 k = bisect_left(values[i], c - 1)
                 start = above | (masks[i][k] if values[i][k] == c - 1 else 0)
                 for b, p, _ in old:
-                    q = p[:i] + (c - 1,) + p[i + 1 :]
-                    # kept at once when no maximum but p is near or above g
-                    if start == 1 << b or not _dominated(q, i, start ^ (1 << b), at_least):
-                        new.append(q)
+                    # kept at once when no maximum but p is near or above g;
+                    # _dominated skips coordinate i, where q and p differ
+                    if start == 1 << b or not _dominated(p, i, start ^ (1 << b), at_least):
+                        if b in heirs:
+                            extra.append(p[:i] + (c - 1,) + p[i + 1 :])
+                        else:
+                            heirs[b] = i, c - 1
             live &= ~above
             for b, p, made in old:
                 bit = 1 << b
                 if made != v:
                     out.add((v - 1,) + p)
-                for x, vals, by in zip(p, values, masks):
-                    k = bisect_left(vals, x)
+                if b in heirs:
+                    # the first replacement keeps p's bit: only coordinate i moves
+                    i, x = heirs[b]
+                    pts[b] = p[:i] + (x,) + p[i + 1 :], v
+                    live |= bit
+                    vals, by = values[i], masks[i]
+                    k = bisect_left(vals, p[i])
                     by[k] &= ~bit
                     if not by[k]:
                         del vals[k], by[k]
-            for q in new:
+                    k = bisect_left(vals, x)
+                    if k < len(vals) and vals[k] == x:
+                        by[k] |= bit
+                    else:
+                        vals.insert(k, x)
+                        by.insert(k, bit)
+                else:
+                    for x, vals, by in zip(p, values, masks):
+                        k = bisect_left(vals, x)
+                        by[k] &= ~bit
+                        if not by[k]:
+                            del vals[k], by[k]
+            for q in extra:
                 bit = ~live & (live + 1)  # the lowest free bit
                 pts[bit.bit_length() - 1] = q, v
                 live |= bit

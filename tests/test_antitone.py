@@ -40,6 +40,7 @@ from commrep import (
 from commrep.hc import _hc8_witness
 
 from util import (
+    bool4,
     box,
     brute_check_complete,
     brute_complete,
@@ -235,6 +236,43 @@ def test_meet_profile_matches_pairwise_fold():
         assert prof == brute_meet_profile(rep)
         wide += len(prof) >= 3 and max(map(len, prof.values())) >= 2
     assert wide >= 60
+
+
+def test_meet_profile_top_entry_feeds_the_points_themselves(monkeypatch):
+    # The entry at top stays the empty subset's {zero}, so its suprema
+    # with a group are the group's own points.  Seeded reps that hold the
+    # zero vector as a point, points valued top, and single-valued
+    # hyperplane reps, against the pairwise fold.
+    rng = random.Random(32)
+    lattices = lattice_catalog()
+    at_zero = valued_top = 0
+    for i in range(240):
+        lat = lattices[i % len(lattices)]
+        d = 1 + i % 4
+        pts = list(random_rep(rng, lat, d, max_coord=4, max_points=8).points)
+        if i % 3 == 0:
+            pts.append(((0,) * d, rng.randrange(lat.m)))
+        if i % 2 == 0:
+            pts += [(tuple(rng.randrange(5) for _ in range(d)), lat.top) for _ in range(2)]
+        rep = Rep(lat, d, pts)
+        assert rep._meet_profile() == brute_meet_profile(rep), rep
+        at_zero += any(not any(v) for v, _ in rep.points)
+        valued_top += any(e == lat.top for _, e in rep.points)
+    assert at_zero >= 80 and valued_top >= 120, (at_zero, valued_top)
+    for lat in lattices:
+        for d, s in ((1, 3), (2, 5), (3, 4)):
+            for e in range(lat.m):
+                rep = Rep(lat, d, [(v, e) for v in hyperplane(d, s)])
+                assert rep._meet_profile() == brute_meet_profile(rep), rep
+    # hyperplane(3, 6) valued 0, a, b, 1 in turn over bool4: one merge per
+    # value below top, with the inputs the fold gave before
+    lat = bool4()
+    rep = Rep(lat, 3, [(v, j % lat.m) for j, v in enumerate(hyperplane(3, 6))])
+    calls = count_calls(monkeypatch, antitone, "min_elements")
+    prof = rep._meet_profile()
+    assert [len(pts) for pts, in calls] == [7, 7, 7, 55]
+    assert {lat.name(e): len(a) for e, a in prof.items()} == {"1": 1, "0": 14, "a": 7, "b": 7}
+    assert prof == brute_meet_profile(rep)
 
 
 # -- complete / check_complete --------------------------------------------------

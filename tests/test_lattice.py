@@ -236,8 +236,12 @@ def test_every_small_relation_and_table_pair():
 def test_resolve_and_index(div52):
     assert div52.resolve("26") == div52.index("26")
     assert div52.resolve(3) == 3
-    with pytest.raises(ValueError, match="unknown"):
-        div52.index("7")
+    # resolve reads the name table itself, with index's error and text
+    assert [div52.resolve(n) for n in div52.names] == list(range(div52.m))
+    for lookup in (div52.index, div52.resolve):
+        with pytest.raises(ValueError, match=r"^unknown lattice element '7'$") as err:
+            lookup("7")
+        assert err.value.__cause__ is None and err.value.__suppress_context__
     with pytest.raises(ValueError):
         div52.resolve(17)
     with pytest.raises(ValueError):

@@ -20,6 +20,7 @@ from util import (
     brute_complement_maxima,
     brute_max_elements,
     brute_min_elements,
+    count_kept_replacements,
     count_split_drops,
     hyperplane,
     scan_complement_maxima,
@@ -292,6 +293,54 @@ def test_complement_maxima_decides_with_its_own_masks(monkeypatch):
     monkeypatch.setattr(upset, "_minima", forbidden)
     assert [u.complement_maxima() for u in sets] == want
     assert want[-2] == matching_maxima(8) and want[-1] == set(hyperplane(5, 5))
+
+
+def handoff_cases(rng):
+    """Seeded subsets of hyperplanes in d = 2-5, matchings of k <= 6 pairs
+    and random antichains of 0-12 generators in d = 1-5."""
+    for case in range(60):
+        d = 2 + case % 4
+        plane = hyperplane(d, rng.randint(1, 9 - d))
+        yield UpSet.from_points(d, rng.sample(plane, rng.randint(1, len(plane))))
+    for k in range(1, 7):
+        yield matching(k)
+    for case in range(150):
+        d = 1 + case % 5
+        yield UpSet.from_points(d, [
+            tuple(rng.randrange(SIDE[d] + 1) for _ in range(d))
+            for _ in range(rng.randint(0, 12))
+        ])
+
+
+def test_complement_maxima_hands_bits_to_replacements():
+    # A removed maximum hands its bit to its first kept replacement, and
+    # the others take free bits: every case against the box scan (where
+    # the box is small) and the list-scan kernel, and again with 2^60
+    # added to every nonzero coordinate.  The sweep's steps are counted
+    # by count_kept_replacements, so that generators removing one maximum
+    # and several, and removed maxima keeping 0, 1 and 2 or more
+    # replacements, all occur, also within one step.
+    rng = random.Random(32)
+    off = 2**60
+    removes = {1: 0, 2: 0}
+    keeps = {0: 0, 1: 0, 2: 0}
+    mixed = 0  # steps where one maximum frees its bit and another hands its own on
+    for u in handoff_cases(rng):
+        want = scan_complement_maxima(u)
+        if (max((c for g in u.gens for c in g), default=0) + 3) ** u.dim <= 5000:
+            assert want == brute_complement_maxima(u), u
+        assert u.complement_maxima() == want, u
+        big = UpSet.from_points(u.dim, [tuple(c and c + off for c in g) for g in u.gens])
+        big_want = {tuple(c if c == INF else c + off for c in p) for p in want}
+        assert big.complement_maxima() == big_want == scan_complement_maxima(big), big
+        for kept in count_kept_replacements(u):
+            if kept:
+                removes[min(len(kept), 2)] += 1
+            for n in kept:
+                keeps[min(n, 2)] += 1
+            mixed += 0 in kept and max(kept) >= 1
+    assert min(removes.values()) >= 100 and min(keeps.values()) >= 100, (removes, keeps)
+    assert mixed >= 30, mixed
 
 
 def run_distinct_maxima(n: int, rss_mb: int, seconds: float) -> None:

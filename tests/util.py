@@ -288,6 +288,27 @@ def count_split_drops(upset: UpSet) -> int:
     return drops
 
 
+def count_kept_replacements(upset: UpSet) -> list[list[int]]:
+    """The sweep of ``UpSet.complement_maxima`` replayed with list scans:
+    for each generator in order, how many replacements each live tail
+    maximum that its tail removes keeps.  A replacement is kept unless a
+    live maximum other than the one it replaces lies at or above it."""
+    maxima, steps = [(INF,) * (upset.dim - 1)], []
+    for g in upset.gens:
+        t = g[1:]
+        above = [p for p in maxima if all(map(operator.le, t, p))]
+        new, kept = [], []
+        for p in above:
+            split = [p[:i] + (c - 1,) + p[i + 1 :] for i, c in enumerate(t) if c]
+            split = [q for q in split
+                     if not any(r != p and all(map(operator.le, q, r)) for r in maxima)]
+            kept.append(len(split))
+            new += split
+        steps.append(kept)
+        maxima = [p for p in maxima if p not in above] + new
+    return steps
+
+
 def brute_hc7_holds(rep: Rep) -> bool:
     """Join distributivity compared pointwise on a sufficient box."""
     lat = rep.lattice
